@@ -9,9 +9,8 @@
 //  * MLR / SVM / MLP — per-row distribution() vs one distribution_batch
 //    call routed through the runtime-dispatched GEMM kernels (target:
 //    >= 2x, bit-identical).
-//  * int8 / q16 low-latency tiers — batch rows/s of the int8 path plus
-//    the accuracy delta of both quantized tiers vs float on the held-out
-//    slice, per scheme.
+//  * q16 serving tier — its accuracy delta vs float on the held-out slice,
+//    per scheme.
 //
 // Emits BENCH_batch_scoring.json (with build/CPU provenance metadata) in
 // the working directory and mirrors the numbers as [bench] lines for CI
@@ -205,10 +204,7 @@ struct GemmResult {
   double per_row_rows_per_s = 0.0;
   double batch_rows_per_s = 0.0;
   bool bit_identical = false;
-  // Low-latency tiers (int8 for the affine schemes, q16 everywhere).
-  double int8_rows_per_s = 0.0;
   double float_accuracy = 0.0;
-  double int8_accuracy = 0.0;
   double q16_accuracy = 0.0;
 };
 
@@ -272,11 +268,7 @@ void write_json(const std::string& path, std::size_t rows,
         << ",\n"
         << "      \"bit_identical\": " << (g.bit_identical ? "true" : "false")
         << ",\n"
-        << "      \"int8_rows_per_s\": " << g.int8_rows_per_s << ",\n"
         << "      \"float_accuracy\": " << g.float_accuracy << ",\n"
-        << "      \"int8_accuracy\": " << g.int8_accuracy << ",\n"
-        << "      \"int8_accuracy_delta\": "
-        << g.int8_accuracy - g.float_accuracy << ",\n"
         << "      \"q16_accuracy\": " << g.q16_accuracy << ",\n"
         << "      \"q16_accuracy_delta\": "
         << g.q16_accuracy - g.float_accuracy << "\n"
@@ -404,25 +396,16 @@ int main() {
     g.bit_identical = per_row.fingerprint == batch.fingerprint;
     g.float_accuracy = accuracy_of(*model, test);
 
-    const ml::QuantizedModel int8(borrow(*model),
-                                  ml::QuantizedModel::Mode::kInt8);
-    const ScorePass int8_pass =
-        score_batch(int8, flat, score_rows, "batch/" + scheme + "/int8");
-    g.int8_rows_per_s = int8_pass.rows_per_s;
-    g.int8_accuracy = accuracy_of(int8, test);
-
     const ml::QuantizedModel q16(borrow(*model),
                                  ml::QuantizedModel::Mode::kQ16Input);
     g.q16_accuracy = accuracy_of(q16, test);
 
     std::fprintf(stderr,
                  "[bench] batch %-4s row %9.0f rows/s | batch %9.0f rows/s "
-                 "| speedup %5.1fx | int8 %9.0f rows/s | bit_identical=%s | "
-                 "acc %.4f int8 %+.4f q16 %+.4f\n",
+                 "| speedup %5.1fx | bit_identical=%s | acc %.4f q16 %+.4f\n",
                  scheme.c_str(), g.per_row_rows_per_s, g.batch_rows_per_s,
                  g.batch_rows_per_s / g.per_row_rows_per_s,
-                 g.int8_rows_per_s, g.bit_identical ? "yes" : "NO",
-                 g.float_accuracy, g.int8_accuracy - g.float_accuracy,
+                 g.bit_identical ? "yes" : "NO", g.float_accuracy,
                  g.q16_accuracy - g.float_accuracy);
     gemm_results.push_back(std::move(g));
   }

@@ -14,9 +14,10 @@
 #include "core/dataset_builder.hpp"
 #include "core/detector.hpp"
 #include "core/feature_reduction.hpp"
+#include "hw/compile.hpp"
 #include "hw/fixed_point_eval.hpp"
 #include "hw/lowering.hpp"
-#include "hw/rtl_emitter.hpp"
+#include "hw/verilog_backend.hpp"
 #include "ml/registry.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -77,8 +78,11 @@ int main() {
   // counters): this is the artifact an FPGA flow would synthesize.
   auto winner = ml::make_classifier("JRip");
   winner->train(btrain.project(top4.indices));
-  const std::string rtl =
-      hw::emit_verilog(*winner, top4.indices.size(), "hmd_jrip_detector");
+  hw::CompileOptions rtl_options;
+  rtl_options.num_features = top4.indices.size();
+  rtl_options.module_name = "hmd_jrip_detector";
+  const std::string rtl = hw::compile(*winner, std::move(rtl_options))
+                              .emit(hw::VerilogBackend());
   const char* rtl_path = "hmd_jrip_detector.v";
   {
     std::ofstream out(rtl_path);

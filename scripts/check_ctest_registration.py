@@ -60,7 +60,7 @@ def built_test_binaries(build_dir: str) -> list:
 REQUIRED_BINARIES = {
     "test_ml_kernels_dispatch",  # SIMD clones bit-identical per ISA
     "test_ml_knn_index",         # KD-tree verdicts == brute force
-    "test_ml_quantized",         # int8/q16 serving tier
+    "test_ml_quantized",         # q16 serving tier
     "test_ml_serialization",
     "test_serve_engine",
 }

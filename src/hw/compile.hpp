@@ -27,9 +27,9 @@
 // returns a kPrecondition ErrorInfo naming the scheme; compile() raises it
 // as hmd::PreconditionError.
 //
-// The legacy per-scheme emit_verilog()/lower_*()/synthesize_classifier()
-// surfaces in hw/rtl_emitter.hpp and hw/lowering.hpp are thin deprecated
-// wrappers over this pipeline (see those headers for the mapping).
+// The legacy lower_*()/synthesize_classifier() surfaces in hw/lowering.hpp
+// are thin deprecated wrappers over this pipeline (see that header for the
+// mapping).
 #pragma once
 
 #include <string>

@@ -10,9 +10,7 @@
 //     output reg  valid_out
 //   );
 //
-// Combinational datapath, one output register stage. The legacy per-scheme
-// emit_verilog() overloads in hw/rtl_emitter.hpp are deprecated wrappers
-// over compile() + this backend.
+// Combinational datapath, one output register stage.
 #pragma once
 
 #include "hw/backend.hpp"

@@ -165,28 +165,6 @@ inline void affine_body(const double* a, std::size_t rows, std::size_t d,
 }
 #endif
 
-// Int8 × int8 → int32 GEMM. Exact integer math (|product| <= 127², sums
-// far below INT32_MAX for any practical width), so clones may freely
-// reassociate; the inner loop is written for pmaddwd-style vectorization.
-#if defined(__GNUC__)
-__attribute__((always_inline))
-#endif
-inline void
-gemm_i8_body(const std::int8_t* __restrict a, std::size_t rows,
-             std::size_t d, const std::int8_t* __restrict w, std::size_t k,
-             std::int32_t* __restrict out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int8_t* x = a + r * d;
-    for (std::size_t c = 0; c < k; ++c) {
-      const std::int8_t* wc = w + c * d;
-      std::int32_t acc = 0;
-      for (std::size_t f = 0; f < d; ++f)
-        acc += static_cast<std::int32_t>(x[f]) * wc[f];
-      out[r * k + c] = acc;
-    }
-  }
-}
-
 // Dispatch by hand instead of target_clones: the ifunc resolvers clones
 // emit run before sanitizer runtimes initialize and crash TSan/ASan
 // binaries at startup, while a dispatch switch on a cached choice is
@@ -384,20 +362,6 @@ __attribute__((target("avx2"))) void affine_avx2(
     const double* __restrict packed, std::size_t k, double* __restrict out) {
   affine_body(a, rows, d, packed, k, out);
 }
-
-__attribute__((target("avx512f,avx512bw"))) void gemm_i8_avx512(
-    const std::int8_t* __restrict a, std::size_t rows, std::size_t d,
-    const std::int8_t* __restrict w, std::size_t k,
-    std::int32_t* __restrict out) {
-  gemm_i8_body(a, rows, d, w, k, out);
-}
-
-__attribute__((target("avx2"))) void gemm_i8_avx2(
-    const std::int8_t* __restrict a, std::size_t rows, std::size_t d,
-    const std::int8_t* __restrict w, std::size_t k,
-    std::int32_t* __restrict out) {
-  gemm_i8_body(a, rows, d, w, k, out);
-}
 #endif
 
 /// force_isa() override; -1 = unset.
@@ -569,26 +533,6 @@ void affine_batch_as(Isa isa, const double* a, std::size_t rows,
   (void)isa;
 #endif
   affine_body(a, rows, d, packed, k, out);
-}
-
-void gemm_i8_i32(const std::int8_t* a, std::size_t rows, std::size_t d,
-                 const std::int8_t* w, std::size_t k, std::int32_t* out) {
-  gemm_i8_i32_as(active_isa(), a, rows, d, w, k, out);
-}
-
-void gemm_i8_i32_as(Isa isa, const std::int8_t* a, std::size_t rows,
-                    std::size_t d, const std::int8_t* w, std::size_t k,
-                    std::int32_t* out) {
-#ifdef HMD_SIMD_DISPATCH
-  switch (isa) {
-    case Isa::kAvx512: gemm_i8_avx512(a, rows, d, w, k, out); return;
-    case Isa::kAvx2: gemm_i8_avx2(a, rows, d, w, k, out); return;
-    case Isa::kScalar: break;
-  }
-#else
-  (void)isa;
-#endif
-  gemm_i8_body(a, rows, d, w, k, out);
 }
 
 void gemv_row_major(std::span<const double> matrix, std::size_t rows,

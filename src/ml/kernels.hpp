@@ -206,18 +206,6 @@ void affine_batch_as(Isa isa, const double* a, std::size_t rows,
                      std::size_t d, const double* packed, std::size_t k,
                      double* out);
 
-/// Int8 GEMM for the quantized serving tier: out[r*k + c] =
-/// Σ_f a[r*d+f] * w[c*d+f], accumulated in int32 (weights row-major per
-/// output). Products are at most 127*127 and the int32 accumulator is
-/// exact for any practical d (d < 2^16), so all clones agree exactly and
-/// reassociation is again pure speed.
-void gemm_i8_i32(const std::int8_t* a, std::size_t rows, std::size_t d,
-                 const std::int8_t* w, std::size_t k, std::int32_t* out);
-/// Fixed-ISA variant for the dispatch-parity tests.
-void gemm_i8_i32_as(Isa isa, const std::int8_t* a, std::size_t rows,
-                    std::size_t d, const std::int8_t* w, std::size_t k,
-                    std::int32_t* out);
-
 /// Standardize `x` into `out`: (x-mean)/stddev per feature, 0 where the
 /// training stddev was 0 (constant column). Matches Standardizer::transform
 /// exactly, without the per-call allocation.

@@ -144,7 +144,7 @@ struct PolicySnapshot {
 /// Serving precision tier that produced a checkpoint
 /// (ServeConfig::Tier). A checkpointed verdict stream is only continued
 /// correctly by scoring the remaining traffic the same way it was scored
-/// before the cut — restoring a float-tier snapshot into an int8/q16
+/// before the cut — restoring a float-tier snapshot into a q16 or fpga
 /// engine (or vice versa) would silently change every score after the
 /// restore point. This section pins the tier name so such a restore fails
 /// loudly instead. Absent from snapshots written before the tier layer

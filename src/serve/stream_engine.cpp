@@ -7,6 +7,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "hw/compile.hpp"
 #include "hw/netlist_model.hpp"
@@ -76,22 +77,35 @@ Result<void> ServeConfig::try_validate() const {
   return {};
 }
 
+namespace {
+
+/// The one list of tiers and their spellings.
+constexpr std::array<std::pair<ServeConfig::Tier, const char*>, 3> kTierNames{
+    {{ServeConfig::Tier::kFloat, "float"},
+     {ServeConfig::Tier::kQ16, "q16"},
+     {ServeConfig::Tier::kFpga, "fpga"}}};
+
+}  // namespace
+
 const char* to_string(ServeConfig::Tier tier) {
-  switch (tier) {
-    case ServeConfig::Tier::kFloat: return "float";
-    case ServeConfig::Tier::kInt8: return "int8";
-    case ServeConfig::Tier::kQ16: return "q16";
-    case ServeConfig::Tier::kFpga: return "fpga";
-  }
+  for (const auto& [t, name] : kTierNames)
+    if (t == tier) return name;
   return "float";
 }
 
 std::optional<ServeConfig::Tier> tier_from_name(const std::string& name) {
-  if (name == "float") return ServeConfig::Tier::kFloat;
-  if (name == "int8") return ServeConfig::Tier::kInt8;
-  if (name == "q16") return ServeConfig::Tier::kQ16;
-  if (name == "fpga") return ServeConfig::Tier::kFpga;
+  for (const auto& [t, spelling] : kTierNames)
+    if (name == spelling) return t;
   return std::nullopt;
+}
+
+std::string tier_names() {
+  std::string out;
+  for (const auto& [t, name] : kTierNames) {
+    if (!out.empty()) out += ' ';
+    out += name;
+  }
+  return out;
 }
 
 StreamRouter::StreamRouter(std::size_t num_shards)
@@ -177,7 +191,7 @@ struct StreamEngine::Shard {
   std::uint64_t batch_ordinal = 0;       ///< fault-injection key
   std::uint64_t last_epoch_version = 0;  ///< for swap detection
 
-  // Quantized tiers (ServeConfig::Tier::kInt8 / kQ16 / kFpga): the
+  // Quantized tiers (ServeConfig::Tier::kQ16 / kFpga): the
   // quantized or netlist-compiled lowering of the current primary, cached
   // per shard and re-derived after every hot-swap (keyed by epoch
   // version). Null when the primary has no lowering for the configured
@@ -365,8 +379,8 @@ StreamEngine::StreamEngine(std::shared_ptr<ModelHub> hub, ServeConfig config)
     // every score after the restore point. Refuse mismatched restores.
     const TierSnapshot& snap = config_.restore_from->tier;
     HMD_REQUIRE(tier_from_name(snap.name).has_value(),
-                "ServeConfig.restore_from: snapshot pins unknown serving "
-                "tier '" + snap.name + "' (known: float int8 q16 fpga)");
+                "ServeConfig.tier: snapshot pins unknown serving tier '" +
+                    snap.name + "' (known: " + tier_names() + ")");
     HMD_REQUIRE(snap.name == to_string(config_.tier),
                 "ServeConfig.tier: snapshot was written by a '" + snap.name +
                     "' tier engine, config is '" + to_string(config_.tier) +
@@ -588,15 +602,9 @@ bool StreamEngine::score_batch(Shard& shard, Batch& batch) {
         if (design.ok())
           shard.quant_model = std::make_shared<const hw::NetlistClassifier>(
               std::move(design).value());
-      } else {
-        const bool int8 = config_.tier == ServeConfig::Tier::kInt8;
-        const bool supported =
-            int8 ? ml::QuantizedModel::int8_supported(*epoch->primary)
-                 : ml::QuantizedModel::q16_supported(*epoch->primary);
-        if (supported)
-          shard.quant_model = std::make_shared<const ml::QuantizedModel>(
-              epoch->primary, int8 ? ml::QuantizedModel::Mode::kInt8
-                                   : ml::QuantizedModel::Mode::kQ16Input);
+      } else if (ml::QuantizedModel::q16_supported(*epoch->primary)) {
+        shard.quant_model = std::make_shared<const ml::QuantizedModel>(
+            epoch->primary, ml::QuantizedModel::Mode::kQ16Input);
       }
     }
     if (shard.quant_model != nullptr) primary = shard.quant_model.get();

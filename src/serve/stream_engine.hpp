@@ -129,22 +129,20 @@ struct ServeConfig {
   EnsembleConfig ensemble;
 
   /// Serving precision tier. kFloat scores with the published model as-is
-  /// (bit-identical to every prior release). kInt8 lowers the primary to
-  /// an int8 ml::QuantizedModel per shard (lazily, re-derived after every
-  /// hot-swap) and scores batches through the int8 GEMM; kQ16 instead
-  /// passes inputs through the hardware Q16.16 grid before the unmodified
-  /// float model — the exact semantics of hw/evaluate_fixed_point, so the
-  /// serving scores match what the RTL datapath would compute. kFpga goes
-  /// one step further: the primary is compiled to the netlist IR
-  /// (hw::compile, lazily per shard after every hot-swap) and windows are
-  /// scored by the cycle-accurate NetlistSimulator — the verdicts the
-  /// emitted Verilog/VHDL would produce, bit-exact. Schemes without the
-  /// respective lowering silently keep the float path, and
-  /// degraded/fallback scoring is always float. Quantized tiers require
-  /// the kSingle ensemble policy — ensemble members vote on float scores
-  /// by design. The tier is part of a checkpoint's identity: snapshots pin
-  /// it and a restore under a different tier fails (see EngineSnapshot).
-  enum class Tier { kFloat, kInt8, kQ16, kFpga };
+  /// (bit-identical to every prior release). kQ16 passes inputs through
+  /// the hardware Q16.16 grid before the unmodified float model — the
+  /// exact semantics of hw/evaluate_fixed_point, so the serving scores
+  /// match what the RTL datapath would compute. kFpga goes one step
+  /// further: the primary is compiled to the netlist IR (hw::compile,
+  /// lazily per shard after every hot-swap) and windows are scored by the
+  /// cycle-accurate NetlistSimulator — the verdicts the emitted
+  /// Verilog/VHDL would produce, bit-exact. Schemes without the respective
+  /// lowering silently keep the float path, and degraded/fallback scoring
+  /// is always float. Quantized tiers require the kSingle ensemble policy
+  /// — ensemble members vote on float scores by design. The tier is part
+  /// of a checkpoint's identity: snapshots pin it and a restore under a
+  /// different tier fails (see EngineSnapshot).
+  enum class Tier { kFloat, kQ16, kFpga };
   Tier tier = Tier::kFloat;
 
   /// Checkpoint to resume from: streams registered with an id present in
@@ -164,11 +162,13 @@ struct ServeConfig {
   void validate() const { try_validate().value(); }
 };
 
-/// "float", "int8", "q16", "fpga" — the --tier spellings and the
-/// snapshot pin.
+/// "float", "q16", "fpga" — the --tier spellings and the snapshot pin.
 const char* to_string(ServeConfig::Tier tier);
 /// Parse a --tier / snapshot tier name; nullopt for anything else.
 std::optional<ServeConfig::Tier> tier_from_name(const std::string& name);
+/// Every tier spelling, space-separated ("float q16 fpga") — for help
+/// texts and unknown-name errors.
+std::string tier_names();
 
 /// Deterministic stream-id → shard mapping (splitmix64 hash, mod shards).
 /// A stream's shard never changes, so its windows are always consumed by

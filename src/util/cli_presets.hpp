@@ -72,15 +72,6 @@ inline void add_emit_rtl_flag(ArgParser& parser, std::string* lang) {
                     "or vhdl (hw::compile netlist pipeline)");
 }
 
-/// --tier NAME: the serving precision tier (serve::tier_from_name).
-inline void add_tier_flag(ArgParser& parser, std::string* tier) {
-  parser.add_string("--tier", tier, "NAME",
-                    "serving precision tier: float (default), int8 "
-                    "(quantized low-latency scoring), q16 (hardware "
-                    "Q16.16 input grid) or fpga (compiled netlist "
-                    "scored by the cycle-accurate simulator)");
-}
-
 /// The observability pair every tool exposes: --metrics-out FILE and
 /// --trace-out FILE.
 inline void add_observability_flags(ArgParser& parser, std::string* metrics,

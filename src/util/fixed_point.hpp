@@ -36,8 +36,12 @@ class Fixed {
   static Fixed from_double(double v) {
     HMD_REQUIRE(std::isfinite(v), "Fixed: value must be finite");
     const double scaled = v * static_cast<double>(kOne);
-    HMD_REQUIRE(scaled >= static_cast<double>(std::numeric_limits<std::int64_t>::min()) &&
-                    scaled <= static_cast<double>(std::numeric_limits<std::int64_t>::max()),
+    // 2^63 as a double: INT64_MAX is not representable and rounds up to
+    // it, so the upper bound is exclusive (an inclusive one let 2^63
+    // through, and the cast wrapped it to INT64_MIN).
+    constexpr double kLimit =
+        -static_cast<double>(std::numeric_limits<std::int64_t>::min());
+    HMD_REQUIRE(scaled >= -kLimit && scaled < kLimit,
                 "Fixed: value overflows representation");
     return from_raw(static_cast<std::int64_t>(std::llround(scaled)));
   }

@@ -1,8 +1,8 @@
-// The deprecated emit_verilog() wrappers and the VerilogBackend they now
-// route through. Goldens are FNV-1a fingerprints of the full emitted text
-// per scheme — when an intentional emission change trips one, re-pin it
-// with the new value the failure message prints.
-#include "hw/rtl_emitter.hpp"
+// Verilog emission: hw::compile() + VerilogBackend. Goldens are FNV-1a
+// fingerprints of the full emitted text per scheme — when an intentional
+// emission change trips one, re-pin it with the new value the failure
+// message prints.
+#include "hw/verilog_backend.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "hw/backend.hpp"
 #include "hw/compile.hpp"
 #include "hw/fixed_point_eval.hpp"
-#include "hw/verilog_backend.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/j48.hpp"
 #include "ml/jrip.hpp"
@@ -56,6 +55,28 @@ void expect_well_formed(const std::string& rtl, std::size_t num_features) {
   EXPECT_NE(rtl.find("always @(posedge clk)"), std::string::npos);
 }
 
+/// The module `clf` compiles to, rendered as Verilog.
+std::string emit(const ml::Classifier& clf, std::size_t num_features,
+                 const std::string& module_name) {
+  CompileOptions opts;
+  opts.num_features = num_features;
+  opts.module_name = module_name;
+  return compile(clf, std::move(opts)).emit(VerilogBackend());
+}
+
+/// Self-checking testbench for emit()'s module, on an input grid
+/// calibrated from `test` the way evaluate_fixed_point calibrates.
+std::string emit_testbench(const ml::Classifier& clf, const ml::Dataset& test,
+                           std::size_t num_vectors,
+                           const std::string& module_name) {
+  CompileOptions opts;
+  opts.num_features = test.num_features();
+  opts.module_name = module_name;
+  opts.feature_absmax = calibrate_feature_absmax(test);
+  return VerilogBackend().emit_testbench(compile(clf, std::move(opts)), test,
+                                         num_vectors);
+}
+
 /// Deterministic per-scheme module for the golden tests: binary schemes
 /// train on separable_binary(), multiclass-capable ones on three_class().
 std::string golden_rtl(const std::string& scheme) {
@@ -65,10 +86,7 @@ std::string golden_rtl(const std::string& scheme) {
                         : separable_binary();
   auto clf = ml::make_classifier(scheme);
   clf->train(data);
-  CompileOptions opts;
-  opts.num_features = data.num_features();
-  opts.module_name = "golden_det";
-  return compile(*clf, std::move(opts)).emit(VerilogBackend());
+  return emit(*clf, data.num_features(), "golden_det");
 }
 
 TEST(RtlEmitter, GoldenFingerprintsPerScheme) {
@@ -96,29 +114,17 @@ TEST(RtlEmitter, AllRtlSchemesEmitWellFormedModules) {
     SCOPED_TRACE(scheme);
     auto clf = ml::make_classifier(scheme);
     clf->train(d);
-    const std::string rtl = emit_verilog(*clf, d.num_features(), "det");
+    const std::string rtl = emit(*clf, d.num_features(), "det");
     expect_well_formed(rtl, d.num_features());
     EXPECT_NE(rtl.find("// Scheme: " + scheme), std::string::npos);
   }
-}
-
-TEST(RtlEmitter, DeprecatedOverloadsMatchThePipeline) {
-  // The thin wrappers must be byte-identical to compile().emit(Verilog).
-  const auto d = separable_binary();
-  ml::J48 tree;
-  tree.train(d);
-  CompileOptions opts;
-  opts.num_features = d.num_features();
-  opts.module_name = "j48_det";
-  EXPECT_EQ(emit_verilog(tree, d.num_features(), "j48_det"),
-            compile(tree, std::move(opts)).emit(VerilogBackend()));
 }
 
 TEST(RtlEmitter, StumpComparesTheLearnedSplit) {
   const auto d = ml::testdata::single_feature_rule(300);
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string rtl = emit_verilog(stump, 2, "stump_detector");
+  const std::string rtl = emit(stump, 2, "stump_detector");
   expect_well_formed(rtl, 2);
   // The split feature's port feeds a comparator somewhere in the netlist.
   EXPECT_GE(count_occurrences(rtl, " <= "), 1u);
@@ -130,7 +136,7 @@ TEST(RtlEmitter, JRipEmitsOneConjunctionPerMultiConditionRule) {
   const auto d = separable_binary();
   ml::JRip rip;
   rip.train(d);
-  const std::string rtl = emit_verilog(rip, d.num_features(), "jrip_det");
+  const std::string rtl = emit(rip, d.num_features(), "jrip_det");
   expect_well_formed(rtl, d.num_features());
   // An n-condition conjunction renders as n-1 "&&" joins.
   std::size_t joins = 0;
@@ -143,7 +149,7 @@ TEST(RtlEmitter, MulticlassEmitsArgmaxChain) {
   const auto d = three_class();
   auto mlr = ml::make_classifier("MLR");
   mlr->train(d);
-  const std::string rtl = emit_verilog(*mlr, d.num_features(), "mlr_det");
+  const std::string rtl = emit(*mlr, d.num_features(), "mlr_det");
   expect_well_formed(rtl, d.num_features());
   EXPECT_NE(rtl.find("argmax chain"), std::string::npos);
   // 3 classes need 2 selector bits.
@@ -154,11 +160,11 @@ TEST(RtlEmitter, LutSchemesEmitRoms) {
   const auto d = three_class();
   auto nb = ml::make_classifier("NaiveBayes");
   nb->train(d);
-  const std::string nb_rtl = emit_verilog(*nb, d.num_features(), "nb_det");
+  const std::string nb_rtl = emit(*nb, d.num_features(), "nb_det");
   EXPECT_NE(nb_rtl.find("Gaussian ROM"), std::string::npos);
   auto mlp = ml::make_classifier("MLP");
   mlp->train(d);
-  const std::string mlp_rtl = emit_verilog(*mlp, d.num_features(), "mlp_det");
+  const std::string mlp_rtl = emit(*mlp, d.num_features(), "mlp_det");
   EXPECT_NE(mlp_rtl.find("sigmoid ROM"), std::string::npos);
 }
 
@@ -167,7 +173,7 @@ TEST(RtlEmitter, UnsupportedSchemesThrow) {
   for (const auto& scheme : {"ZeroR", "IBk", "Bagging"}) {
     auto clf = ml::make_classifier(scheme);
     clf->train(d);
-    EXPECT_THROW((void)emit_verilog(*clf, d.num_features(), "det"),
+    EXPECT_THROW((void)emit(*clf, d.num_features(), "det"),
                  hmd::PreconditionError)
         << scheme;
   }
@@ -179,7 +185,7 @@ TEST(RtlEmitter, FeatureBeyondPortsThrows) {
   stump.train(d);
   if (stump.split_feature() > 0)
     EXPECT_THROW(
-        (void)emit_verilog(stump, stump.split_feature(), "det"),
+        (void)emit(stump, stump.split_feature(), "det"),
         hmd::PreconditionError);
 }
 
@@ -187,7 +193,7 @@ TEST(RtlEmitter, ModuleNameHonored) {
   const auto d = separable_binary();
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string rtl = emit_verilog(stump, 4, "my_special_detector");
+  const std::string rtl = emit(stump, 4, "my_special_detector");
   EXPECT_NE(rtl.find("module my_special_detector ("), std::string::npos);
 }
 
@@ -195,14 +201,14 @@ TEST(RtlEmitter, DeterministicOutput) {
   const auto d = separable_binary();
   ml::JRip rip;
   rip.train(d);
-  EXPECT_EQ(emit_verilog(rip, 4, "a"), emit_verilog(rip, 4, "a"));
+  EXPECT_EQ(emit(rip, 4, "a"), emit(rip, 4, "a"));
 }
 
 TEST(RtlTestbench, SelfCheckingStructure) {
   const auto d = separable_binary();
   ml::JRip rip;
   rip.train(d);
-  const std::string tb = emit_verilog_testbench(rip, d, 10, "jrip_det");
+  const std::string tb = emit_testbench(rip, d, 10, "jrip_det");
   EXPECT_NE(tb.find("module jrip_det_tb;"), std::string::npos);
   EXPECT_NE(tb.find("jrip_det dut ("), std::string::npos);
   EXPECT_EQ(count_occurrences(tb, "check("), 10u);  // one call per vector
@@ -214,7 +220,7 @@ TEST(RtlTestbench, ExpectedValuesMatchSimulatorDecisions) {
   const auto d = separable_binary();
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string tb = emit_verilog_testbench(stump, d, 5, "det");
+  const std::string tb = emit_testbench(stump, d, 5, "det");
   // Expected classes are the netlist simulator's decisions on the
   // dataset-calibrated grid — for an exact scheme that is also the C++
   // model's prediction over the quantized features.
@@ -236,7 +242,7 @@ TEST(RtlTestbench, ClampsVectorCountToTestSet) {
   const auto d = separable_binary(3);  // 6 rows total
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string tb = emit_verilog_testbench(stump, d, 1000, "det");
+  const std::string tb = emit_testbench(stump, d, 1000, "det");
   EXPECT_EQ(count_occurrences(tb, "check("), d.num_instances());
 }
 

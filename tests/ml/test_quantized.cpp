@@ -1,7 +1,6 @@
-// QuantizedModel — the int8/q16 low-latency serving tier. The q16 mode
-// must work for every scheme; the int8 mode is limited to the affine
-// schemes and must stay close to float accuracy on well-separated data
-// (bit-identity is NOT promised — the contract is a measured delta).
+// QuantizedModel — the q16 serving tier: inputs snapped to the hardware
+// Q16.16 grid before the unmodified float model. It must stay close to
+// float accuracy on well-separated data.
 #include "ml/quantized.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include "ml/evaluation.hpp"
 #include "ml/logistic.hpp"
 #include "ml/mlp.hpp"
-#include "ml/registry.hpp"
 #include "ml/svm.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
@@ -35,42 +33,28 @@ double accuracy_of(const Classifier& clf, const DatasetView& data) {
          static_cast<double>(data.num_instances());
 }
 
-TEST(Quantized, Int8SupportedExactlyForAffineSchemes) {
-  // Binary data: the one-class anomaly schemes in the registry refuse
-  // multiclass training sets.
-  const auto data = testdata::separable_binary(60);
-  for (const auto& scheme : known_schemes()) {
-    const auto clf = make_classifier(scheme);
-    clf->train(data);
-    const bool expect =
-        scheme == "MLR" || scheme == "SVM" || scheme == "MLP";
-    EXPECT_EQ(QuantizedModel::int8_supported(*clf), expect) << scheme;
-  }
-}
-
 TEST(Quantized, WrapRequiresTrainedBaseAndRefusesTrain) {
   Logistic untrained;
-  EXPECT_THROW(QuantizedModel(borrow(untrained), QuantizedModel::Mode::kInt8),
-               Error);
+  EXPECT_THROW(
+      QuantizedModel(borrow(untrained), QuantizedModel::Mode::kQ16Input),
+      Error);
   Logistic trained;
   const auto data = testdata::separable_binary();
   trained.train(data);
-  QuantizedModel q(borrow(trained), QuantizedModel::Mode::kInt8);
+  QuantizedModel q(borrow(trained), QuantizedModel::Mode::kQ16Input);
   EXPECT_THROW(q.train(data), Error);
 }
 
 TEST(Quantized, NamesAndUnwrapExposeTierAndScheme) {
   Logistic model;
   model.train(testdata::separable_binary());
-  const QuantizedModel int8(borrow(model), QuantizedModel::Mode::kInt8);
   const QuantizedModel q16(borrow(model), QuantizedModel::Mode::kQ16Input);
-  EXPECT_EQ(int8.name(), "int8/MLR");
   EXPECT_EQ(q16.name(), "q16/MLR");
-  EXPECT_EQ(&int8.unwrap(), &model.unwrap());
-  EXPECT_EQ(int8.num_classes(), model.num_classes());
+  EXPECT_EQ(&q16.unwrap(), &model.unwrap());
+  EXPECT_EQ(q16.num_classes(), model.num_classes());
 }
 
-TEST(Quantized, Int8StaysCloseToFloatOnSeparableData) {
+TEST(Quantized, Q16StaysCloseToFloatOnSeparableData) {
   const auto data = testdata::blobs(3, 8, 150, 4.0, 1.0, 71);
   Rng rng(72);
   const auto [train, test] = data.stratified_split_views(0.6, rng);
@@ -85,11 +69,9 @@ TEST(Quantized, Int8StaysCloseToFloatOnSeparableData) {
   for (auto& c : cases) {
     c.model->train(train);
     const double base = accuracy_of(*c.model, test);
-    const QuantizedModel int8(borrow(*c.model), QuantizedModel::Mode::kInt8);
     const QuantizedModel q16(borrow(*c.model),
                              QuantizedModel::Mode::kQ16Input);
     EXPECT_GE(base, 0.85) << c.name;  // the problem is easy by design
-    EXPECT_NEAR(accuracy_of(int8, test), base, 0.05) << c.name;
     EXPECT_NEAR(accuracy_of(q16, test), base, 0.02) << c.name;
   }
 }
@@ -100,23 +82,19 @@ TEST(Quantized, BatchMatchesPerRowBitForBit) {
   Logistic model;
   const auto data = testdata::blobs(3, 8, 120, 3.0, 1.0, 73);
   model.train(data);
-  for (const auto mode :
-       {QuantizedModel::Mode::kInt8, QuantizedModel::Mode::kQ16Input}) {
-    const QuantizedModel q(borrow(model), mode);
-    const std::size_t rows = 50, d = 8, k = q.num_classes();
-    std::vector<double> flat;
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t f = 0; f < d; ++f)
-        flat.push_back(data.instance(r).values[f]);
-    std::vector<double> batch(rows * k);
-    q.distribution_batch(flat, d, batch);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto one = q.distribution(
-          std::span<const double>(flat.data() + r * d, d));
-      for (std::size_t c = 0; c < k; ++c)
-        ASSERT_EQ(batch[r * k + c], one[c])
-            << "mode=" << static_cast<int>(mode) << " r=" << r;
-    }
+  const QuantizedModel q(borrow(model), QuantizedModel::Mode::kQ16Input);
+  const std::size_t rows = 50, d = 8, k = q.num_classes();
+  std::vector<double> flat;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t f = 0; f < d; ++f)
+      flat.push_back(data.instance(r).values[f]);
+  std::vector<double> batch(rows * k);
+  q.distribution_batch(flat, d, batch);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto one =
+        q.distribution(std::span<const double>(flat.data() + r * d, d));
+    for (std::size_t c = 0; c < k; ++c)
+      ASSERT_EQ(batch[r * k + c], one[c]) << "r=" << r;
   }
 }
 
@@ -127,7 +105,7 @@ TEST(Quantized, ExplicitCalibrationOverridesDerivedGrid) {
   // must construct and score), and a per-feature vector of the right
   // length is accepted.
   const std::size_t d = 4;
-  const QuantizedModel q(borrow(model), QuantizedModel::Mode::kInt8,
+  const QuantizedModel q(borrow(model), QuantizedModel::Mode::kQ16Input,
                          std::vector<double>(d, 100.0));
   const std::vector<double> x(d, 0.5);
   const auto dist = q.distribution(x);

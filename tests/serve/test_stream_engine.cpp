@@ -401,64 +401,6 @@ TEST(StreamEngine, MetricsAccountForEveryWindow) {
   metrics().reset();
 }
 
-TEST(StreamEngine, Int8TierMatchesQuantizedSerialReplay) {
-  // --tier int8: the engine wraps the published primary in an int8
-  // QuantizedModel with the default (standardizer-derived) calibration, so
-  // a serial replay through an identically built wrapper must match the
-  // engine's verdicts bit-for-bit.
-  constexpr std::size_t kWidth = 8;
-  std::vector<ml::Attribute> attrs;
-  for (std::size_t f = 0; f < kWidth; ++f)
-    attrs.emplace_back("f" + std::to_string(f));
-  attrs.emplace_back("class", std::vector<std::string>{"benign", "malware"});
-  ml::Dataset data(std::move(attrs), "int8_tier");
-  Rng rng(77);
-  for (std::size_t i = 0; i < 300; ++i) {
-    ml::Instance row;
-    const double cls = i % 2 == 0 ? 0.0 : 1.0;
-    for (std::size_t f = 0; f < kWidth; ++f)
-      row.values.push_back(rng.normal(cls * 2.0, 1.0));
-    row.values.push_back(cls);
-    data.add(std::move(row));
-  }
-  ml::Logistic model(ml::Logistic::Params{.iterations = 30});
-  model.train(data);
-
-  ServeConfig config;
-  config.window_size = kWidth;
-  config.num_shards = 2;
-  config.record_verdicts = true;
-  config.tier = ServeConfig::Tier::kInt8;
-  config.policy = {.flag_threshold = 0.6, .confirm_windows = 2};
-  StreamEngine engine(model, config);
-
-  constexpr std::size_t kStreams = 5;
-  std::vector<StreamEngine::StreamHandle> handles;
-  std::vector<std::vector<std::vector<double>>> workload;
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    handles.push_back(engine.register_stream(s));
-    auto windows = make_stream_windows(500 + s, 80, kWidth);
-    for (auto& w : windows)
-      for (auto& v : w) v = v * 4.0 - 1.0;
-    workload.push_back(std::move(windows));
-  }
-  for (std::size_t w = 0; w < 80; ++w)
-    for (std::size_t s = 0; s < kStreams; ++s)
-      engine.ingest(handles[s], workload[s][w]);
-  engine.drain();
-
-  const ml::QuantizedModel int8(
-      std::shared_ptr<const ml::Classifier>(std::shared_ptr<void>(), &model),
-      ml::QuantizedModel::Mode::kInt8);
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    const auto expected = serial_replay(int8, config.policy, workload[s]);
-    expect_verdicts_identical(engine.verdicts(handles[s]), expected,
-                              "int8 stream " + std::to_string(s));
-  }
-  engine.shutdown();
-  metrics().reset();
-}
-
 TEST(StreamEngine, Q16TierMatchesQuantizedSerialReplay) {
   // --tier q16: the engine passes every window through the hardware
   // Q16.16 input grid (standardizer-derived calibration) before the
@@ -525,7 +467,7 @@ TEST(StreamEngine, SnapshotPinsTierAndRejectsMismatchedRestore) {
   ServeConfig config;
   config.window_size = 4;
   config.record_verdicts = true;
-  config.tier = ServeConfig::Tier::kInt8;
+  config.tier = ServeConfig::Tier::kQ16;
   StreamEngine engine(model, config);
   const auto handle = engine.register_stream(3);
   for (const auto& w : make_stream_windows(11, 20, 4))
@@ -537,7 +479,7 @@ TEST(StreamEngine, SnapshotPinsTierAndRejectsMismatchedRestore) {
   engine.shutdown();
   const EngineSnapshot snap = EngineSnapshot::read_or_throw(buffer);
   ASSERT_TRUE(snap.tier.present);
-  EXPECT_EQ(snap.tier.name, "int8");
+  EXPECT_EQ(snap.tier.name, "q16");
 
   const auto shared = std::make_shared<const EngineSnapshot>(snap);
   {
@@ -547,8 +489,7 @@ TEST(StreamEngine, SnapshotPinsTierAndRejectsMismatchedRestore) {
     EXPECT_NO_THROW(StreamEngine(model, same).shutdown());
   }
   for (const ServeConfig::Tier other :
-       {ServeConfig::Tier::kFloat, ServeConfig::Tier::kQ16,
-        ServeConfig::Tier::kFpga}) {
+       {ServeConfig::Tier::kFloat, ServeConfig::Tier::kFpga}) {
     ServeConfig mismatched = config;
     mismatched.tier = other;
     mismatched.restore_from = shared;
@@ -566,20 +507,52 @@ TEST(StreamEngine, SnapshotPinsTierAndRejectsMismatchedRestore) {
   const auto float_snap = std::make_shared<const EngineSnapshot>(
       EngineSnapshot::read_or_throw(float_buf));
   EXPECT_EQ(float_snap->tier.name, "float");
-  ServeConfig int8_cfg = config;
-  int8_cfg.restore_from = float_snap;
-  EXPECT_THROW(StreamEngine(model, int8_cfg), PreconditionError);
+  ServeConfig q16_cfg = config;
+  q16_cfg.restore_from = float_snap;
+  EXPECT_THROW(StreamEngine(model, q16_cfg), PreconditionError);
+
+  // A snapshot pinning a tier this build does not serve (older builds
+  // wrote "tier int8") loads, but no engine restores it: the error names
+  // ServeConfig.tier and lists the tiers that exist.
+  std::istringstream legacy(
+      "hmd-snapshot v1\n"
+      "model_version 1\n"
+      "streams 1\n"
+      "stream 3 accepted 20 evicted 0 high_water 1 windows 20 flagged 0 "
+      "streak 0 alarmed 0 alarm_window -\n"
+      "tier int8\n");
+  const auto legacy_snap = std::make_shared<const EngineSnapshot>(
+      EngineSnapshot::read_or_throw(legacy));
+  EXPECT_EQ(legacy_snap->tier.name, "int8");
+  for (const ServeConfig::Tier tier :
+       {ServeConfig::Tier::kFloat, ServeConfig::Tier::kQ16,
+        ServeConfig::Tier::kFpga}) {
+    ServeConfig restore = config;
+    restore.tier = tier;
+    restore.restore_from = legacy_snap;
+    try {
+      StreamEngine(model, restore).shutdown();
+      ADD_FAILURE() << "tier int8 snapshot restored under " << to_string(tier);
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ServeConfig.tier"), std::string::npos) << what;
+      EXPECT_NE(what.find("(known: float q16 fpga)"), std::string::npos)
+          << what;
+    }
+  }
   metrics().reset();
 }
 
-TEST(StreamEngine, Int8TierKeepsFloatPathForUnsupportedScheme) {
-  // Schemes without an int8 lowering silently serve float under
-  // --tier int8 — verdicts must equal the float serial replay exactly.
+TEST(StreamEngine, Q16TierKeepsFloatPathForUnsupportedScheme) {
+  // Schemes without a standardizer have no q16 lowering and silently serve
+  // float under --tier q16 — verdicts must equal the float serial replay
+  // exactly.
   StubModel model;
+  ASSERT_FALSE(ml::QuantizedModel::q16_supported(model));
   ServeConfig config;
   config.window_size = 4;
   config.record_verdicts = true;
-  config.tier = ServeConfig::Tier::kInt8;
+  config.tier = ServeConfig::Tier::kQ16;
   StreamEngine engine(model, config);
   const auto handle = engine.register_stream(0);
   const auto windows = make_stream_windows(321, 60, 4);
@@ -587,7 +560,7 @@ TEST(StreamEngine, Int8TierKeepsFloatPathForUnsupportedScheme) {
   engine.drain();
   const auto expected = serial_replay(model, config.policy, windows);
   expect_verdicts_identical(engine.verdicts(handle), expected,
-                            "unsupported-scheme int8 tier");
+                            "unsupported-scheme q16 tier");
   engine.shutdown();
   metrics().reset();
 }
@@ -669,7 +642,7 @@ TEST(ServeSoak, RandomInterleavingsMatchSerialReplay) {
   }
 }
 
-// Quantized-tier soak: concurrent feeders through the int8 tier while the
+// Quantized-tier soak: concurrent feeders through the q16 tier while the
 // SAME trained model is re-published mid-traffic. The re-publish bumps the
 // epoch version, forcing every shard worker to re-derive its cached
 // quantized lowering under live ingest — the tier's only swap-adjacent
@@ -700,7 +673,7 @@ TEST(ServeSoak, QuantizedTierSurvivesConcurrentFeedersAndRepublish) {
   config.window_size = kWidth;
   config.num_shards = 3;
   config.record_verdicts = true;
-  config.tier = ServeConfig::Tier::kInt8;
+  config.tier = ServeConfig::Tier::kQ16;
   config.policy = {.flag_threshold = 0.6, .confirm_windows = 2};
   auto hub = std::make_shared<ModelHub>();
   hub->publish(model);
@@ -740,9 +713,9 @@ TEST(ServeSoak, QuantizedTierSurvivesConcurrentFeedersAndRepublish) {
   publisher.join();
   engine.drain();
 
-  const ml::QuantizedModel int8(model, ml::QuantizedModel::Mode::kInt8);
+  const ml::QuantizedModel q16(model, ml::QuantizedModel::Mode::kQ16Input);
   for (std::size_t s = 0; s < kStreams; ++s) {
-    const auto expected = serial_replay(int8, config.policy, workload[s]);
+    const auto expected = serial_replay(q16, config.policy, workload[s]);
     expect_verdicts_identical(engine.verdicts(handles[s]), expected,
                               "tier soak stream " + std::to_string(s));
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -70,6 +71,12 @@ TEST(Fixed16, CompoundAssignment) {
 TEST(Fixed16, NonFiniteThrows) {
   EXPECT_THROW(Fixed16::from_double(std::nan("")), PreconditionError);
   EXPECT_THROW(Fixed16::from_double(INFINITY), PreconditionError);
+  // Finite values just outside the Q16.16 range of the 64-bit container.
+  EXPECT_THROW(Fixed16::from_double(std::ldexp(1.0, 47)), PreconditionError);
+  EXPECT_THROW(Fixed16::from_double(-std::ldexp(1.0, 47) - 1.0),
+               PreconditionError);
+  EXPECT_EQ(Fixed16::from_double(-std::ldexp(1.0, 47)).raw(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(QuantizeQ16, ErrorBounded) {

@@ -114,7 +114,9 @@ int main(int argc, char** argv) {
                     "write an engine snapshot after the replay drains");
   parser.add_string("--restore", &restore_path, "FILE",
                     "resume stream state from a snapshot (--checkpoint)");
-  cli::add_tier_flag(parser, &tier_name);
+  parser.add_string("--tier", &tier_name, "NAME",
+                    "serving precision tier: " + serve::tier_names() +
+                        " (default float; see docs/serving.md)");
   cli::add_isa_flag(parser, &isa_name);
   cli::add_observability_flags(parser, &metrics_path, &trace_path);
   parser.parse_or_exit(argc, argv);
@@ -130,7 +132,7 @@ int main(int argc, char** argv) {
     const auto tier = serve::tier_from_name(tier_name);
     if (!tier.has_value()) {
       std::cerr << "hmd_serve: --tier: unknown tier '" << tier_name
-                << "' (known: float int8 q16)\n";
+                << "' (known: " << serve::tier_names() << ")\n";
       return 2;
     }
     config.tier = *tier;
