@@ -135,6 +135,8 @@ CacheAccessResult Cache::fill(std::uint64_t addr) {
 void Cache::flush() {
   for (auto& l : lines_) l = Line{};
   lru_clock_ = 0;
+  rr_next_.assign(rr_next_.size(), 0);
+  rand_state_ = kRandSeed;
 }
 
 double Cache::miss_rate() const {

@@ -51,7 +51,8 @@ class Cache {
   /// already present; writeback reports a dirty eviction.
   CacheAccessResult fill(std::uint64_t addr);
 
-  /// Invalidate everything (e.g. between sandboxed runs).
+  /// Invalidate everything and restart the replacement state (e.g. between
+  /// sandboxed runs); statistics are kept.
   void flush();
 
   const CacheConfig& config() const { return config_; }
@@ -81,8 +82,9 @@ class Cache {
   std::uint64_t load_misses_ = 0;
   std::uint64_t store_misses_ = 0;
   std::uint32_t lru_clock_ = 0;
+  static constexpr std::uint64_t kRandSeed = 0x9e3779b97f4a7c15ull;
   std::vector<std::uint32_t> rr_next_;  ///< round-robin pointer per set
-  std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;  ///< xorshift64 state
+  std::uint64_t rand_state_ = kRandSeed;  ///< xorshift64 state
 
   Line* set_begin(std::uint64_t set);
   Line* choose_victim(Line* set_lines, std::uint64_t set);

@@ -107,6 +107,7 @@ void MemoryHierarchy::flush() {
   llc_.flush();
   itlb_.flush();
   dtlb_.flush();
+  if (prefetcher_.has_value()) prefetcher_->reset();
 }
 
 }  // namespace hmd::hwsim

@@ -56,7 +56,8 @@ class MemoryHierarchy {
   /// Data store at `addr`.
   AccessOutcome store(std::uint64_t addr);
 
-  /// Drop all cached state (sandbox isolation between runs).
+  /// Drop all cached state, replacement and prefetcher state included
+  /// (sandbox isolation between runs).
   void flush();
 
   /// Enable the stride prefetcher on the demand-load path (off by

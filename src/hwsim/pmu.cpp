@@ -1,16 +1,6 @@
 #include "hwsim/pmu.hpp"
 
-#include "util/error.hpp"
-
 namespace hmd::hwsim {
-
-void Pmu::add(HwEvent e, std::uint64_t n) {
-  const auto idx = static_cast<std::size_t>(e);
-  HMD_REQUIRE(idx < kNumEvents, "Pmu::add: invalid event");
-  true_counts_[idx] += n;
-  for (auto& reg : registers_)
-    if (reg.active && reg.event == e) reg.value += n;
-}
 
 void Pmu::advance_time(std::uint64_t ns) {
   for (auto& reg : registers_)
@@ -20,13 +10,18 @@ void Pmu::advance_time(std::uint64_t ns) {
 void Pmu::program(std::size_t slot, HwEvent e) {
   HMD_REQUIRE(slot < kNumCounters, "Pmu::program: slot out of range");
   HMD_REQUIRE(e < HwEvent::kCount, "Pmu::program: invalid event");
-  registers_[slot] = {.event = e, .value = 0, .time_running_ns = 0,
+  registers_[slot] = {.event = e,
+                      .base = true_counts_[static_cast<std::size_t>(e)],
+                      .value = 0,
+                      .time_running_ns = 0,
                       .active = true};
 }
 
 void Pmu::stop(std::size_t slot) {
   HMD_REQUIRE(slot < kNumCounters, "Pmu::stop: slot out of range");
-  registers_[slot].active = false;
+  Register& reg = registers_[slot];
+  reg.value = count(reg);
+  reg.active = false;
 }
 
 bool Pmu::is_active(std::size_t slot) const {
@@ -44,7 +39,7 @@ std::optional<HwEvent> Pmu::programmed_event(std::size_t slot) const {
 CounterReading Pmu::read(std::size_t slot) const {
   HMD_REQUIRE(slot < kNumCounters, "Pmu::read: slot out of range");
   const Register& reg = registers_[slot];
-  return {.value = reg.value, .time_running_ns = reg.time_running_ns};
+  return {.value = count(reg), .time_running_ns = reg.time_running_ns};
 }
 
 std::uint64_t Pmu::true_count(HwEvent e) const {

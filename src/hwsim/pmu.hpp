@@ -6,6 +6,12 @@
 // free-running "ground truth" counts for every event, which the tests use to
 // quantify multiplexing error and which an idealized collector can read
 // directly.
+//
+// Host-speed note: every event is counted once, in the free-running
+// ground truth. A programmed register remembers the ground-truth count at
+// program() time and reads as the difference, which is exactly what
+// incrementing each matching register on every event would accumulate, so
+// add() stays a single increment however many registers are programmed.
 #pragma once
 
 #include <array>
@@ -13,6 +19,7 @@
 #include <optional>
 
 #include "hwsim/events.hpp"
+#include "util/error.hpp"
 
 namespace hmd::hwsim {
 
@@ -32,9 +39,13 @@ class Pmu {
   /// hyper-threading off, as on the i5-4590).
   static constexpr std::size_t kNumCounters = 8;
 
-  /// Record `n` occurrences of `e`: updates ground truth and any active
-  /// register currently programmed with `e`.
-  void add(HwEvent e, std::uint64_t n = 1);
+  /// Record `n` occurrences of `e`: updates ground truth and, through it,
+  /// any active register currently programmed with `e`.
+  void add(HwEvent e, std::uint64_t n = 1) {
+    const auto idx = static_cast<std::size_t>(e);
+    HMD_REQUIRE(idx < kNumEvents, "Pmu::add: invalid event");
+    true_counts_[idx] += n;
+  }
 
   /// Advance wall-clock time; accrues time_running for active registers.
   void advance_time(std::uint64_t ns);
@@ -60,10 +71,18 @@ class Pmu {
  private:
   struct Register {
     HwEvent event = HwEvent::kCount;
-    std::uint64_t value = 0;
+    std::uint64_t base = 0;   ///< ground truth of `event` at program()
+    std::uint64_t value = 0;  ///< count frozen by stop()
     std::uint64_t time_running_ns = 0;
     bool active = false;
   };
+
+  /// Events counted since program(): live while active, frozen after.
+  std::uint64_t count(const Register& reg) const {
+    return reg.active
+               ? true_counts_[static_cast<std::size_t>(reg.event)] - reg.base
+               : reg.value;
+  }
 
   std::array<std::uint64_t, kNumEvents> true_counts_{};
   std::array<Register, kNumCounters> registers_{};

@@ -8,7 +8,7 @@ Tlb::Tlb(TlbConfig config) : config_(config) {
   HMD_REQUIRE(config_.entries > 0, "TLB needs at least one entry");
   HMD_REQUIRE(config_.page_bits >= 10 && config_.page_bits <= 30,
               "page size out of range");
-  entries_.assign(config_.entries, {});
+  flush();
 }
 
 bool Tlb::access(std::uint64_t addr) {
@@ -16,26 +16,32 @@ bool Tlb::access(std::uint64_t addr) {
   ++lru_clock_;
   const std::uint64_t vpn = addr >> config_.page_bits;
 
-  Entry* victim = &entries_.front();
-  for (auto& e : entries_) {
-    if (e.valid && e.vpn == vpn) {
-      e.lru = lru_clock_;
-      return true;
+  if (vpns_[last_] != vpn) {
+    const std::size_t n = vpns_.size();
+    std::size_t i = 0;
+    while (i < n && vpns_[i] != vpn) ++i;
+    if (i == n) {
+      // Miss: evict the oldest stamp. Free entries (stamp 0) go first;
+      // stamps of valid entries are distinct, so this is true LRU.
+      ++misses_;
+      std::size_t victim = 0;
+      for (std::size_t j = 1; j < n; ++j)
+        if (lru_[j] < lru_[victim]) victim = j;
+      vpns_[victim] = vpn;
+      lru_[victim] = lru_clock_;
+      last_ = victim;
+      return false;
     }
-    if (!e.valid) {
-      victim = &e;
-    } else if (victim->valid && e.lru < victim->lru) {
-      victim = &e;
-    }
+    last_ = i;
   }
-
-  ++misses_;
-  *victim = {.vpn = vpn, .lru = lru_clock_, .valid = true};
-  return false;
+  lru_[last_] = lru_clock_;
+  return true;
 }
 
 void Tlb::flush() {
-  entries_.assign(entries_.size(), {});
+  vpns_.assign(config_.entries, kEmpty);
+  lru_.assign(config_.entries, 0);
+  last_ = 0;
   lru_clock_ = 0;
 }
 

@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "workload/sandbox.hpp"
 
 namespace hmd::hwsim {
 namespace {
@@ -141,6 +142,54 @@ TEST(Core, ResetRestoresColdState) {
   // Caches cold again.
   core.execute(load(0x400000, 0x5000));
   EXPECT_EQ(core.pmu().true_count(HwEvent::kL1DcacheLoadMisses), 1u);
+}
+
+TEST(Core, ResetMatchesFreshCoreForEveryPolicy) {
+  // A reset core must be indistinguishable from a new one: replacement
+  // pointers, the xorshift victim state and the prefetcher's stride table
+  // all count as microarchitectural state.
+  auto hierarchy = [](ReplacementPolicy policy, bool prefetch) {
+    auto with = [policy](CacheConfig c) {
+      c.policy = policy;
+      return c;
+    };
+    MemoryHierarchy memory(with(miniature_l1i()), with(miniature_l1d()),
+                           with(miniature_l2()), with(miniature_llc()),
+                           TlbConfig{.entries = 64}, TlbConfig{.entries = 48});
+    if (prefetch) memory.enable_prefetcher();
+    return memory;
+  };
+  // The same sandboxed stream, as the collector replays per sample.
+  auto run = [](Core& core) {
+    workload::SampleRecord rec;
+    rec.label = workload::AppClass::kVirus;
+    rec.seed = 4;
+    workload::Sandbox sandbox(rec);
+    for (int i = 0; i < 40000; ++i) core.execute(sandbox.next());
+  };
+  for (ReplacementPolicy policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kRoundRobin,
+        ReplacementPolicy::kRandom}) {
+    for (bool prefetch : {false, true}) {
+      Core reused(CoreConfig{}, hierarchy(policy, prefetch));
+      run(reused);
+      reused.reset();
+      run(reused);
+      Core fresh(CoreConfig{}, hierarchy(policy, prefetch));
+      run(fresh);
+      if (prefetch) {
+        EXPECT_EQ(reused.memory().prefetcher()->issued(),
+                  fresh.memory().prefetcher()->issued())
+            << "policy=" << static_cast<int>(policy);
+      }
+      for (std::size_t e = 0; e < kNumEvents; ++e) {
+        const auto event = static_cast<HwEvent>(e);
+        EXPECT_EQ(reused.pmu().true_count(event), fresh.pmu().true_count(event))
+            << event_name(event) << " policy=" << static_cast<int>(policy)
+            << " prefetch=" << prefetch;
+      }
+    }
+  }
 }
 
 TEST(Core, StoreStreamProducesNodeStores) {

@@ -20,6 +20,8 @@ TEST(Pmu, ProgrammedRegisterCounts) {
   pmu.program(0, HwEvent::kBranchMisses);
   pmu.add(HwEvent::kBranchMisses, 3);
   EXPECT_EQ(pmu.read(0).value, 3u);
+  pmu.add(HwEvent::kBranchMisses, 2);
+  EXPECT_EQ(pmu.read(0).value, 5u);
 }
 
 TEST(Pmu, UnprogrammedEventNotCaptured) {
@@ -33,10 +35,13 @@ TEST(Pmu, UnprogrammedEventNotCaptured) {
 TEST(Pmu, StoppedRegisterFreezes) {
   Pmu pmu;
   pmu.program(0, HwEvent::kInstructions);
+  pmu.program(1, HwEvent::kInstructions);
   pmu.add(HwEvent::kInstructions, 2);
   pmu.stop(0);
   pmu.add(HwEvent::kInstructions, 10);
+  pmu.stop(0);  // stopping again keeps the frozen value
   EXPECT_EQ(pmu.read(0).value, 2u);
+  EXPECT_EQ(pmu.read(1).value, 12u);
   EXPECT_EQ(pmu.true_count(HwEvent::kInstructions), 12u);
 }
 
@@ -45,6 +50,11 @@ TEST(Pmu, ReprogramClearsValue) {
   pmu.program(0, HwEvent::kInstructions);
   pmu.add(HwEvent::kInstructions, 9);
   pmu.program(0, HwEvent::kInstructions);
+  EXPECT_EQ(pmu.read(0).value, 0u);
+  pmu.add(HwEvent::kInstructions, 4);
+  EXPECT_EQ(pmu.read(0).value, 4u);
+  pmu.program(0, HwEvent::kCycles);
+  pmu.add(HwEvent::kInstructions, 5);
   EXPECT_EQ(pmu.read(0).value, 0u);
 }
 
@@ -92,12 +102,24 @@ TEST(Pmu, ProgrammedEventQuery) {
 TEST(Pmu, ResetClearsEverything) {
   Pmu pmu;
   pmu.program(0, HwEvent::kInstructions);
+  pmu.program(1, HwEvent::kCycles);
   pmu.add(HwEvent::kInstructions, 5);
+  pmu.add(HwEvent::kCycles, 7);
   pmu.advance_time(10);
   pmu.reset();
   EXPECT_EQ(pmu.true_count(HwEvent::kInstructions), 0u);
-  EXPECT_FALSE(pmu.is_active(0));
+  for (std::size_t slot : {0u, 1u}) {
+    EXPECT_FALSE(pmu.is_active(slot));
+    EXPECT_FALSE(pmu.programmed_event(slot).has_value());
+    EXPECT_EQ(pmu.read(slot).value, 0u);
+    EXPECT_EQ(pmu.read(slot).time_running_ns, 0u);
+  }
+  // Registers cleared by reset stay idle until programmed again.
+  pmu.add(HwEvent::kInstructions, 3);
   EXPECT_EQ(pmu.read(0).value, 0u);
+  pmu.program(0, HwEvent::kInstructions);
+  pmu.add(HwEvent::kInstructions, 2);
+  EXPECT_EQ(pmu.read(0).value, 2u);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "util/error.hpp"
+#include "workload/sample_database.hpp"
 #include "workload/sandbox.hpp"
 
 namespace hmd::perf {
@@ -175,6 +177,47 @@ TEST(Collector, CustomEventListRespected) {
   auto sb = make_sandbox();
   const auto samples = collector.collect(core, sb);
   EXPECT_EQ(samples.front().counts.size(), 2u);
+}
+
+// -- Golden fingerprint: FNV-1a over every number the simulator hands the
+//    collector — multiplexed windows, ideal-PMU windows and all ground-truth
+//    PMU counts — for a few records of the scaled Table 1 database on the
+//    miniature hierarchy. Host-speed work on hwsim must leave the constant
+//    unchanged; a changed simulated count anywhere changes it.
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v;
+  return h * 1099511628211ull;
+}
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+TEST(Collector, GoldenFingerprintMiniatureCore) {
+  const auto db = workload::SampleDatabase::generate(
+      workload::DatabaseComposition::scaled(0.02), 2017);
+  ASSERT_GE(db.size(), 5u);
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < db.size(); i += db.size() / 5) {
+    const workload::SampleRecord& rec = db.samples()[i];
+    for (bool ideal : {false, true}) {
+      CollectorConfig cfg;
+      cfg.ops_per_window = 1000;
+      cfg.num_windows = 4;
+      cfg.ideal_pmu = ideal;
+      cfg.rotations_per_window = 2;
+      const HpcCollector collector(cfg);
+      hwsim::Core core(hwsim::CoreConfig{},
+                       hwsim::MemoryHierarchy::miniature());
+      workload::Sandbox sandbox(rec);
+      for (const HpcSample& s :
+           collector.collect(core, sandbox, rec.seed ^ 0xab5e11))
+        for (double c : s.counts)
+          h = fnv_mix(h, std::bit_cast<std::uint64_t>(c));
+      for (std::size_t e = 0; e < hwsim::kNumEvents; ++e)
+        h = fnv_mix(h, core.pmu().true_count(static_cast<HwEvent>(e)));
+    }
+  }
+  EXPECT_EQ(h, 0x7c9ba8dda21406c5ull);
 }
 
 }  // namespace

@@ -912,22 +912,16 @@ TEST(ResilienceSoak, ConcurrentSnapshotWhileIngesting) {
     workload.push_back(make_stream_windows(900 + s, kWindows, 1));
   }
 
-  std::atomic<bool> feeding{true};
-  std::vector<std::thread> feeders;
-  for (std::size_t f = 0; f < kFeeders; ++f)
-    feeders.emplace_back([&, f] {
-      for (std::size_t w = 0; w < kWindows; ++w)
-        for (std::size_t j = 0; j < kStreamsPerFeeder; ++j) {
-          const std::size_t s = f * kStreamsPerFeeder + j;
-          engine.ingest(handles[s], workload[s][w]);
-        }
-    });
-
   // Snapshot continuously while traffic is live; every captured cut must
-  // be internally consistent and serialize/parse cleanly.
+  // be internally consistent and serialize/parse cleanly. Feeders hold
+  // off until the snapshotter runs, so a fast feed cannot finish before
+  // the first snapshot starts.
+  std::atomic<bool> feeding{true};
+  std::atomic<bool> snapshotting{false};
   std::size_t snapshots_taken = 0;
   std::thread snapshotter([&] {
     while (feeding.load(std::memory_order_relaxed)) {
+      snapshotting.store(true, std::memory_order_release);
       const EngineSnapshot snap = engine.snapshot();
       EXPECT_EQ(snap.streams.size(), kStreams);
       for (const StreamSnapshot& s : snap.streams) {
@@ -944,6 +938,17 @@ TEST(ResilienceSoak, ConcurrentSnapshotWhileIngesting) {
       ++snapshots_taken;
     }
   });
+  std::vector<std::thread> feeders;
+  for (std::size_t f = 0; f < kFeeders; ++f)
+    feeders.emplace_back([&, f] {
+      while (!snapshotting.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (std::size_t w = 0; w < kWindows; ++w)
+        for (std::size_t j = 0; j < kStreamsPerFeeder; ++j) {
+          const std::size_t s = f * kStreamsPerFeeder + j;
+          engine.ingest(handles[s], workload[s][w]);
+        }
+    });
   for (auto& t : feeders) t.join();
   feeding.store(false, std::memory_order_relaxed);
   snapshotter.join();
