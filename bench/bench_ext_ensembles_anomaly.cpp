@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
-#include "hw/lowering.hpp"
+#include "hw/compile.hpp"
 #include "ml/anomaly.hpp"
 #include "ml/cross_validation.hpp"
 #include "ml/ensemble.hpp"
@@ -42,9 +42,10 @@ void print_ensembles() {
     const auto ev = ml::evaluate(*clf, test);
     std::string area = "n/a";
     if (scheme == "DecisionStump" || scheme == "J48") {
-      area = format("%.0f", hw::synthesize_classifier(*clf,
-                                                      train.num_features())
-                                .area_slices());
+      area = format("%.0f",
+                    hw::compile(*clf, {.num_features = train.num_features()})
+                        .report()
+                        .area_slices());
     } else if (scheme == "AdaBoostM1" || scheme == "Bagging") {
       // A committee synthesizes one base design per member.
       const auto* boost = dynamic_cast<const ml::AdaBoostM1*>(clf.get());
@@ -55,10 +56,12 @@ void print_ensembles() {
                                           ? "DecisionStump"
                                           : "J48");
       base->train(train);
-      area = format("%.0f", static_cast<double>(members) *
-                                hw::synthesize_classifier(
-                                    *base, train.num_features())
-                                    .area_slices());
+      area = format("%.0f",
+                    static_cast<double>(members) *
+                        hw::compile(*base,
+                                    {.num_features = train.num_features()})
+                            .report()
+                            .area_slices());
     }
     table.add_row({scheme, format("%.2f", ev.accuracy() * 100.0),
                    format("%.2f", ev.recall(0) * 100.0),

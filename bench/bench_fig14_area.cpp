@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
-#include "hw/lowering.hpp"
+#include "hw/compile.hpp"
 #include "ml/registry.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -50,7 +50,8 @@ void BM_SynthesizeMlp(benchmark::State& state) {
   auto clf = ml::make_classifier("MLP");
   clf->train(train);
   for (auto _ : state) {
-    auto report = hw::synthesize_classifier(*clf, train.num_features());
+    auto report =
+        hw::compile(*clf, {.num_features = train.num_features()}).report();
     benchmark::DoNotOptimize(report);
   }
 }
@@ -62,7 +63,8 @@ void BM_SynthesizeJRip(benchmark::State& state) {
   auto clf = ml::make_classifier("JRip");
   clf->train(train);
   for (auto _ : state) {
-    auto report = hw::synthesize_classifier(*clf, train.num_features());
+    auto report =
+        hw::compile(*clf, {.num_features = train.num_features()}).report();
     benchmark::DoNotOptimize(report);
   }
 }

@@ -16,7 +16,6 @@
 #include "core/feature_reduction.hpp"
 #include "hw/compile.hpp"
 #include "hw/fixed_point_eval.hpp"
-#include "hw/lowering.hpp"
 #include "hw/verilog_backend.hpp"
 #include "ml/registry.hpp"
 #include "util/strings.hpp"

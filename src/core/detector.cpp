@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "hw/lowering.hpp"
+#include "hw/compile.hpp"
 #include "ml/instrumented.hpp"
 #include "ml/registry.hpp"
 #include "util/error.hpp"
@@ -48,8 +48,9 @@ std::vector<BinaryStudyRow> BinaryStudy::run(const std::vector<std::string>& sch
     row.scheme = scheme;
     row.num_features = train.num_features();
     row.report = std::move(tm.evaluation);
-    row.synthesis =
-        hw::synthesize_classifier(*tm.model, train.num_features());
+    hw::CompileOptions hw_options;
+    hw_options.num_features = train.num_features();
+    row.synthesis = hw::compile(*tm.model, std::move(hw_options)).report();
     return row;
   });
 }

@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "hw/backend.hpp"
-#include "hw/netlist_sim.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/j48.hpp"
 #include "ml/jrip.hpp"
@@ -426,6 +425,10 @@ Result<CompiledDesign> try_compile(const ml::Classifier& clf,
                 "CompileOptions.lut_size must be a power of two in [2, 65536]");
     HMD_REQUIRE(options.clock_mhz > 0.0,
                 "CompileOptions.clock_mhz must be positive");
+    HMD_REQUIRE(options.inferences_per_second > 0.0 &&
+                    std::isfinite(options.inferences_per_second),
+                "CompileOptions.inferences_per_second must be positive and "
+                "finite");
 
     std::vector<double> absmax = options.feature_absmax.empty()
                                      ? model_feature_absmax(u, options.num_features)
@@ -434,6 +437,8 @@ Result<CompiledDesign> try_compile(const ml::Classifier& clf,
                 "CompileOptions.feature_absmax width mismatch");
     std::vector<double> scales(absmax.size());
     for (std::size_t f = 0; f < absmax.size(); ++f) {
+      HMD_REQUIRE(std::isfinite(absmax[f]),
+                  "CompileOptions.feature_absmax entries must be finite");
       absmax[f] = std::max(absmax[f], 1e-12);
       scales[f] = q16_input_scale(absmax[f]);
     }
@@ -476,9 +481,7 @@ SynthesisReport CompiledDesign::report() const {
   report.design_name = scheme_;
   report.clock_mhz = clock_mhz_;
   report.resources = netlist_.total_resources();
-  // Measured, not estimated: the simulator's critical path over the
-  // per-net pipeline annotations.
-  report.latency_cycles = NetlistSimulator(*this).cycles_per_window();
+  report.latency_cycles = netlist_.latency_cycles();
   report.energy_per_inference_pj = netlist_.total_energy_pj();
   finalize_power(report, inferences_per_second_);
   return report;

@@ -9,10 +9,11 @@
 // compile() lowers the model onto the netlist IR (hw/netlist.hpp) with
 // Q16.16 semantics shared with hw/evaluate_fixed_point; CompiledDesign then
 // exposes the pluggable Backends (Verilog, VHDL) and the cycle-accurate
-// NetlistSimulator. report() replaces the old analytic estimate with
-// numbers *measured* from the netlist: latency is the simulator's critical
-// path over the per-net pipeline annotations, area/energy are summed from
-// the instantiated nets.
+// NetlistSimulator. report() quotes numbers measured from the netlist:
+// latency is Netlist::latency_cycles() (the critical path over the per-net
+// pipeline annotations), area/energy are summed from the instantiated nets.
+// Operator sharing is priced on the same netlist: pass an
+// OperatorAllocation to latency_cycles() / total_resources() (hw/pareto).
 //
 // Supported schemes (see ml::rtl_schemes()):
 //   exact    — OneR, DecisionStump, J48, JRip, MLR, SVM: simulator class
@@ -26,10 +27,6 @@
 // Unsupported schemes (IBk, ZeroR, ensembles, one-class): try_compile()
 // returns a kPrecondition ErrorInfo naming the scheme; compile() raises it
 // as hmd::PreconditionError.
-//
-// The legacy lower_*()/synthesize_classifier() surfaces in hw/lowering.hpp
-// are thin deprecated wrappers over this pipeline (see that header for the
-// mapping).
 #pragma once
 
 #include <string>
@@ -59,7 +56,8 @@ struct CompileOptions {
   /// Entries per LUT-ROM (power of two). Larger = closer to the float
   /// model for NaiveBayes/MLP, more BRAM lines in the emitted RTL.
   std::size_t lut_size = 256;
-  /// report() parameters (same meaning as SynthesisOptions).
+  /// report() parameters: target clock, and windows classified per second
+  /// (drives dynamic power; the paper's 10 ms sampling period gives 100).
   double clock_mhz = 100.0;
   double inferences_per_second = 100.0;
 };
@@ -83,9 +81,9 @@ class CompiledDesign {
   /// Render through a language backend (VerilogBackend / VhdlBackend).
   std::string emit(const Backend& backend) const;
 
-  /// Synthesis numbers measured from the netlist: latency = the simulator's
-  /// critical path, area/energy summed over the instantiated nets, power
-  /// from the shared finalize_power model. Replaces synthesize_classifier().
+  /// Synthesis numbers measured from the fully parallel netlist: latency =
+  /// netlist().latency_cycles(), area = netlist().total_resources(), energy
+  /// summed over the nets, power from finalize_power.
   SynthesisReport report() const;
 
  private:

@@ -1,7 +1,11 @@
 #include "hw/netlist.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
+#include <queue>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/fixed_point.hpp"
@@ -309,10 +313,90 @@ double Netlist::node_energy_pj(NetId id) const {
   return 0.0;
 }
 
-ResourceCost Netlist::total_resources() const {
+namespace {
+
+/// Shared operator pools, indexed like pool_sizes().
+enum Pool : std::size_t { kMulPool, kAddPool, kCmpPool, kNumPools, kUnshared };
+
+Pool pool_of(NetOp op) {
+  switch (op) {
+    case NetOp::kMul: return kMulPool;
+    case NetOp::kAdd: return kAddPool;
+    case NetOp::kCmpLe:
+    case NetOp::kCmpGt: return kCmpPool;
+    default: return kUnshared;
+  }
+}
+
+std::array<std::optional<std::uint32_t>, kNumPools> pool_sizes(
+    const OperatorAllocation& alloc) {
+  const std::array<std::optional<std::uint32_t>, kNumPools> sizes = {
+      alloc.multipliers, alloc.adders, alloc.comparators};
+  for (const auto& size : sizes)
+    HMD_REQUIRE(!size.has_value() || *size > 0,
+                "OperatorAllocation: a pool needs at least one instance");
+  return sizes;
+}
+
+}  // namespace
+
+ResourceCost Netlist::total_resources(const OperatorAllocation& alloc) const {
+  const auto sizes = pool_sizes(alloc);
+  // Every net of a pool costs the same, so a bounded pool is priced as its
+  // first `size` nets.
+  std::array<std::size_t, kNumPools> instantiated{};
   ResourceCost total;
-  for (NetId id = 0; id < nodes_.size(); ++id) total += node_cost(id);
+  for (NetId id = 0; id < nodes_.size(); ++id) {
+    const Pool p = pool_of(nodes_[id].op);
+    if (p != kUnshared && sizes[p].has_value() &&
+        instantiated[p]++ >= *sizes[p])
+      continue;
+    total += node_cost(id);
+  }
   return total;
+}
+
+std::uint32_t Netlist::latency_cycles(const OperatorAllocation& alloc) const {
+  const auto sizes = pool_sizes(alloc);
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> pending(n);
+  std::vector<std::vector<NetId>> consumers(n);
+  for (NetId id = 0; id < n; ++id) {
+    pending[id] = nodes_[id].args.size();
+    for (NetId a : nodes_[id].args) consumers[a].push_back(id);
+  }
+
+  // Min-heap of (operand-ready cycle, net).
+  using Item = std::pair<std::uint32_t, NetId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> ready;
+  for (NetId id = 0; id < n; ++id)
+    if (pending[id] == 0) ready.emplace(0, id);
+  std::vector<std::uint32_t> ready_at(n, 0);
+  // Per pool, the cycle each instantiated operator frees up.
+  std::array<std::vector<std::uint32_t>, kNumPools> free_at;
+
+  std::uint32_t makespan = 0;
+  while (!ready.empty()) {
+    const auto [cycle, id] = ready.top();
+    ready.pop();
+    const std::uint32_t latency = node_latency(id);
+    std::uint32_t start = cycle;
+    const Pool p = pool_of(nodes_[id].op);
+    if (p != kUnshared && sizes[p].has_value()) {
+      std::vector<std::uint32_t>& pool = free_at[p];
+      if (pool.size() < *sizes[p]) pool.push_back(0);
+      const auto first_free = std::min_element(pool.begin(), pool.end());
+      start = std::max(start, *first_free);
+      *first_free = start + latency;
+    }
+    const std::uint32_t done = start + latency;
+    makespan = std::max(makespan, done);
+    for (NetId c : consumers[id]) {
+      ready_at[c] = std::max(ready_at[c], done);
+      if (--pending[c] == 0) ready.emplace(ready_at[c], c);
+    }
+  }
+  return makespan;
 }
 
 double Netlist::total_energy_pj() const {

@@ -1,26 +1,18 @@
 #include "hw/pareto.hpp"
 
 #include <algorithm>
-
-#include "hw/lowering.hpp"
-#include "util/error.hpp"
+#include <array>
 
 namespace hmd::hw {
 
 namespace {
 
-DesignPoint evaluate(const DataflowGraph& graph,
-                     const OperatorAllocation& alloc, double clock_mhz) {
-  SynthesisOptions options;
-  options.clock_mhz = clock_mhz;
-  const bool bounded = alloc.multipliers.has_value() ||
-                       alloc.adders.has_value() ||
-                       alloc.comparators.has_value();
-  if (bounded) options.allocation = alloc;
-  const SynthesisReport report = synthesize(graph, "dse", options);
+constexpr std::array<std::uint32_t, 6> kPoolSizes = {1, 2, 4, 8, 16, 32};
+
+DesignPoint evaluate(const Netlist& netlist, const OperatorAllocation& alloc) {
   return {.allocation = alloc,
-          .area_slices = report.area_slices(),
-          .latency_cycles = report.latency_cycles,
+          .area_slices = netlist.total_resources(alloc).equivalent_slices(),
+          .latency_cycles = netlist.latency_cycles(alloc),
           .pareto_optimal = false};
 }
 
@@ -43,24 +35,18 @@ void mark_pareto(std::vector<DesignPoint>& points) {
 
 }  // namespace
 
-std::vector<DesignPoint> explore_design_space(const DataflowGraph& graph,
-                                              const ParetoOptions& options) {
-  HMD_REQUIRE(!options.pool_sizes.empty(),
-              "explore_design_space: no pool sizes");
+std::vector<DesignPoint> explore_design_space(const Netlist& netlist) {
   std::vector<DesignPoint> points;
 
   // Fully parallel reference point.
-  points.push_back(evaluate(graph, {}, options.clock_mhz));
+  points.push_back(evaluate(netlist, {}));
 
   // Shared-multiplier sweeps (the dominant cost), alone and with matched
   // adder/comparator pools.
-  for (std::uint32_t m : options.pool_sizes) {
-    points.push_back(
-        evaluate(graph, {.multipliers = m}, options.clock_mhz));
-    points.push_back(evaluate(graph,
-                              {.multipliers = m, .adders = m,
-                               .comparators = m},
-                              options.clock_mhz));
+  for (std::uint32_t m : kPoolSizes) {
+    points.push_back(evaluate(netlist, {.multipliers = m}));
+    points.push_back(evaluate(
+        netlist, {.multipliers = m, .adders = m, .comparators = m}));
   }
 
   std::sort(points.begin(), points.end(),
@@ -78,12 +64,6 @@ std::vector<DesignPoint> explore_design_space(const DataflowGraph& graph,
                points.end());
   mark_pareto(points);
   return points;
-}
-
-std::vector<DesignPoint> explore_classifier(const ml::Classifier& clf,
-                                            std::size_t num_features,
-                                            const ParetoOptions& options) {
-  return explore_design_space(lower_classifier(clf, num_features), options);
 }
 
 std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points) {

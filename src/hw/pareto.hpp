@@ -2,16 +2,15 @@
 //
 // The thesis synthesizes each classifier once (fully parallel); a real HLS
 // flow explores the allocation space. This module sweeps the shared
-// multiplier/adder/comparator pools of a lowered classifier and returns the
+// multiplier/adder/comparator pools of a compiled netlist and returns the
 // Pareto-optimal (area, latency) design points — the curve an implementer
 // actually chooses from.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "hw/dataflow.hpp"
-#include "hw/synthesis.hpp"
-#include "ml/classifier.hpp"
+#include "hw/netlist.hpp"
 
 namespace hmd::hw {
 
@@ -23,22 +22,11 @@ struct DesignPoint {
   bool pareto_optimal = false;
 };
 
-/// Exploration controls.
-struct ParetoOptions {
-  /// Candidate pool sizes tried for each operator class (also combined).
-  std::vector<std::uint32_t> pool_sizes = {1, 2, 4, 8, 16, 32};
-  double clock_mhz = 100.0;
-};
-
-/// Sweep operator allocations for `graph`; all evaluated points are
-/// returned, sorted by area, with Pareto-optimal ones marked.
-std::vector<DesignPoint> explore_design_space(const DataflowGraph& graph,
-                                              const ParetoOptions& options = {});
-
-/// Convenience: lower `clf` and explore.
-std::vector<DesignPoint> explore_classifier(const ml::Classifier& clf,
-                                            std::size_t num_features,
-                                            const ParetoOptions& options = {});
+/// Sweep operator allocations for `netlist`: the fully parallel design,
+/// then pools of 1, 2, 4, 8, 16 and 32, each as a multiplier pool alone
+/// and as matched multiplier/adder/comparator pools. All evaluated points
+/// are returned, sorted by area, with Pareto-optimal ones marked.
+std::vector<DesignPoint> explore_design_space(const Netlist& netlist);
 
 /// Filter to the Pareto-optimal subset (sorted by area ascending).
 std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points);

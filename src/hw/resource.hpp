@@ -37,7 +37,6 @@ enum class HwOp : std::uint8_t {
   kCompare,     ///< 32-bit magnitude comparator
   kAdd,         ///< 32-bit adder/subtractor
   kMul,         ///< 32x32 fixed-point multiplier (DSP-mapped)
-  kMac,         ///< fused multiply-accumulate
   kMux2,        ///< 2:1 32-bit mux
   kAnd,         ///< wide AND reduction (rule conjunction)
   kSigmoidLut,  ///< BRAM-backed sigmoid/exp lookup

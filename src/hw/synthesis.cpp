@@ -2,52 +2,7 @@
 
 #include <sstream>
 
-#include "util/error.hpp"
-
 namespace hmd::hw {
-
-SynthesisReport synthesize(const DataflowGraph& graph,
-                           std::string design_name,
-                           const SynthesisOptions& options) {
-  HMD_REQUIRE(options.clock_mhz > 0.0, "clock must be positive");
-  SynthesisReport report;
-  report.design_name = std::move(design_name);
-  report.clock_mhz = options.clock_mhz;
-
-  if (options.allocation.has_value()) {
-    const OperatorAllocation& alloc = *options.allocation;
-    report.latency_cycles =
-        graph.schedule_constrained(alloc).latency_cycles;
-    // Bounded pools cap the spatially instantiated operators.
-    ResourceCost res;
-    auto bounded = [](std::size_t demand,
-                      std::optional<std::uint32_t> cap) -> std::uint64_t {
-      return cap.has_value() ? std::min<std::uint64_t>(demand, *cap)
-                             : demand;
-    };
-    const std::size_t muls =
-        graph.count_ops(HwOp::kMul) + graph.count_ops(HwOp::kMac);
-    res += hw_op_cost(HwOp::kMul).scaled(bounded(muls, alloc.multipliers));
-    res += hw_op_cost(HwOp::kAdd)
-               .scaled(bounded(graph.count_ops(HwOp::kAdd), alloc.adders));
-    const std::size_t cmps = graph.count_ops(HwOp::kCompare) +
-                             graph.count_ops(HwOp::kArgmaxStage);
-    res += hw_op_cost(HwOp::kCompare).scaled(bounded(cmps, alloc.comparators));
-    // Everything outside the shared pools is instantiated as-is.
-    for (HwOp op : {HwOp::kMux2, HwOp::kAnd, HwOp::kSigmoidLut,
-                    HwOp::kGaussianLut, HwOp::kRegister}) {
-      res += hw_op_cost(op).scaled(graph.count_ops(op));
-    }
-    report.resources = res;
-  } else {
-    report.latency_cycles = graph.schedule_asap().latency_cycles;
-    report.resources = graph.total_resources();
-  }
-
-  report.energy_per_inference_pj = graph.total_energy_pj();
-  finalize_power(report, options.inferences_per_second);
-  return report;
-}
 
 void finalize_power(SynthesisReport& report, double inferences_per_second) {
   report.static_power_mw = 0.015 * report.area_slices() / 10.0;

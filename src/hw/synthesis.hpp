@@ -1,25 +1,16 @@
 // Synthesis report: the numbers Vivado HLS hands back — area, latency,
-// power — for one lowered classifier, at the 100 MHz target clock.
+// power — for one compiled classifier (CompiledDesign::report()), at the
+// 100 MHz target clock.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
-#include "hw/dataflow.hpp"
+#include "hw/resource.hpp"
 
 namespace hmd::hw {
 
-/// Synthesis options.
-struct SynthesisOptions {
-  double clock_mhz = 100.0;
-  /// When set, schedule with this operator allocation instead of full
-  /// spatial parallelism (resources are then bounded by the allocation).
-  std::optional<OperatorAllocation> allocation;
-  /// Windows classified per second (drives average power): the paper's
-  /// 10 ms sampling period → 100 inferences/s per monitored core.
-  double inferences_per_second = 100.0;
-};
-
-/// The estimator's output for one classifier implementation.
+/// The hardware numbers for one classifier implementation.
 struct SynthesisReport {
   std::string design_name;
   ResourceCost resources;
@@ -39,13 +30,8 @@ struct SynthesisReport {
   std::string to_string() const;
 };
 
-/// Schedule + bind `graph` and produce the report.
-SynthesisReport synthesize(const DataflowGraph& graph, std::string design_name,
-                           const SynthesisOptions& options = {});
-
 /// Fill the power fields of a report whose area/energy are already set:
 /// static power scales with occupied area, dynamic with inference rate.
-/// Shared between the analytic estimator above and CompiledDesign::report().
 void finalize_power(SynthesisReport& report, double inferences_per_second);
 
 }  // namespace hmd::hw

@@ -9,7 +9,7 @@
 #include "core/dataset_builder.hpp"
 #include "core/detector.hpp"
 #include "core/feature_reduction.hpp"
-#include "hw/lowering.hpp"
+#include "hw/compile.hpp"
 #include "ml/registry.hpp"
 #include "util/error.hpp"
 
@@ -108,7 +108,8 @@ TEST(Integration, EveryStudySchemeSynthesizes) {
     auto clf = ml::make_classifier(scheme);
     clf->train(fixture().btrain);
     const auto report =
-        hw::synthesize_classifier(*clf, fixture().btrain.num_features());
+        hw::compile(*clf, {.num_features = fixture().btrain.num_features()})
+            .report();
     EXPECT_GT(report.latency_cycles, 0u) << scheme;
     EXPECT_GT(report.area_slices(), 0.0) << scheme;
   }

@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hw/fixed_point_eval.hpp"
-#include "hw/lowering.hpp"
+#include "hw/netlist_sim.hpp"
+#include "ml/decision_stump.hpp"
+#include "ml/j48.hpp"
+#include "ml/jrip.hpp"
+#include "ml/knn.hpp"
+#include "ml/mlp.hpp"
+#include "ml/naive_bayes.hpp"
+#include "ml/one_r.hpp"
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
@@ -64,6 +75,34 @@ TEST(Compile, RejectsBadOptions) {
     opts.num_features = data.num_features();
     opts.feature_absmax = {1.0};  // wrong arity for the port list
     EXPECT_FALSE(try_compile(*clf, std::move(opts)).ok());
+  }
+  // Non-finite calibration would silently give a port scale of 1 (NaN) or
+  // 0 (+inf, every raw and threshold folds to 0).
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    CompileOptions opts;
+    opts.num_features = data.num_features();
+    opts.feature_absmax.assign(data.num_features(), 1.0);
+    opts.feature_absmax[1] = bad;
+    const auto result = try_compile(*clf, std::move(opts));
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.error().code(), ErrCode::kPrecondition);
+    EXPECT_NE(result.error().message().find("feature_absmax"),
+              std::string::npos)
+        << result.error().message();
+  }
+  // A non-positive or NaN rate would report negative or NaN power.
+  for (const double bad : {0.0, -100.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    CompileOptions opts;
+    opts.num_features = data.num_features();
+    opts.inferences_per_second = bad;
+    const auto result = try_compile(*clf, std::move(opts));
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.error().code(), ErrCode::kPrecondition);
+    EXPECT_NE(result.error().message().find("inferences_per_second"),
+              std::string::npos)
+        << result.error().message();
   }
 }
 
@@ -123,23 +162,6 @@ TEST(Compile, ReportQuotesMeasuredNetlistNumbers) {
   EXPECT_GT(report.static_power_mw + report.dynamic_power_mw, 0.0);
 }
 
-TEST(Compile, DeprecatedSynthesizeClassifierMatchesReport) {
-  // synthesize_classifier() without an explicit allocation is now a thin
-  // wrapper over compile().report() — the two surfaces must agree.
-  const auto data = ml::testdata::separable_binary(80);
-  auto clf = ml::make_classifier("J48");
-  clf->train(data);
-  const SynthesisReport via_legacy =
-      synthesize_classifier(*clf, data.num_features());
-  CompileOptions opts;
-  opts.num_features = data.num_features();
-  const SynthesisReport via_report = compile(*clf, std::move(opts)).report();
-  EXPECT_EQ(via_legacy.resources.luts, via_report.resources.luts);
-  EXPECT_EQ(via_legacy.latency_cycles, via_report.latency_cycles);
-  EXPECT_DOUBLE_EQ(via_legacy.energy_per_inference_pj,
-                   via_report.energy_per_inference_pj);
-}
-
 TEST(Compile, DatasetPinnedGridMatchesCalibration) {
   const auto data = ml::testdata::separable_binary(60);
   auto clf = ml::make_classifier("DecisionStump");
@@ -152,6 +174,242 @@ TEST(Compile, DatasetPinnedGridMatchesCalibration) {
   ASSERT_EQ(design.feature_absmax(), absmax);
   for (std::size_t f = 0; f < absmax.size(); ++f)
     EXPECT_DOUBLE_EQ(design.feature_scales()[f], q16_input_scale(absmax[f]));
+}
+
+/// Longest chain of nets, each registered node_latency() cycles after its
+/// slowest operand — the fully parallel latency, computed without
+/// Netlist::latency_cycles().
+std::uint32_t naive_critical_path(const Netlist& nl) {
+  std::vector<std::uint32_t> done(nl.num_nodes(), 0);
+  std::uint32_t longest = 0;
+  for (NetId id = 0; id < nl.num_nodes(); ++id) {
+    std::uint32_t start = 0;
+    for (NetId a : nl.node(id).args) start = std::max(start, done[a]);
+    done[id] = start + nl.node_latency(id);
+    longest = std::max(longest, done[id]);
+  }
+  return longest;
+}
+
+TEST(Compile, OneSchedulePricesEverySchemeWithAndWithoutSharing) {
+  const ml::Dataset fixtures[] = {ml::testdata::separable_binary(80),
+                                  ml::testdata::three_class(60)};
+  for (const ml::Dataset& data : fixtures) {
+    for (const std::string& scheme : ml::rtl_schemes()) {
+      SCOPED_TRACE(scheme + ", " + std::to_string(data.num_classes()) +
+                   " classes");
+      auto clf = ml::make_classifier(scheme);
+      clf->train(data);
+      const CompiledDesign design =
+          compile(*clf, {.num_features = data.num_features()});
+      const Netlist& nl = design.netlist();
+      const std::uint32_t parallel = nl.latency_cycles();
+      EXPECT_EQ(parallel, naive_critical_path(nl));
+      EXPECT_EQ(parallel, design.report().latency_cycles);
+      EXPECT_EQ(parallel, NetlistSimulator(design).cycles_per_window());
+
+      // Growing a pool, one instance at a time up to one per net, never
+      // raises latency or lowers area, and ends at the parallel design.
+      const std::size_t demand = std::max(
+          {nl.count_ops(NetOp::kMul), nl.count_ops(NetOp::kAdd),
+           nl.count_ops(NetOp::kCmpLe) + nl.count_ops(NetOp::kCmpGt),
+           std::size_t{1}});
+      using Pool = std::optional<std::uint32_t> OperatorAllocation::*;
+      const std::vector<std::vector<Pool>> sweeps = {
+          {&OperatorAllocation::multipliers},
+          {&OperatorAllocation::adders},
+          {&OperatorAllocation::comparators},
+          {&OperatorAllocation::multipliers, &OperatorAllocation::adders,
+           &OperatorAllocation::comparators}};
+      for (const std::vector<Pool>& sweep : sweeps) {
+        const auto pools = [&sweep](std::uint32_t n) {
+          OperatorAllocation alloc;
+          for (Pool pool : sweep) alloc.*pool = n;
+          return alloc;
+        };
+        std::uint32_t prev_latency = std::numeric_limits<std::uint32_t>::max();
+        double prev_area = 0.0;
+        for (std::uint32_t n = 1; n <= demand; ++n) {
+          const std::uint32_t latency = nl.latency_cycles(pools(n));
+          const double area = nl.total_resources(pools(n)).equivalent_slices();
+          EXPECT_LE(latency, prev_latency) << "pool " << n;
+          EXPECT_GE(area, prev_area) << "pool " << n;
+          prev_latency = latency;
+          prev_area = area;
+        }
+        EXPECT_EQ(prev_latency, parallel);
+        EXPECT_DOUBLE_EQ(prev_area, nl.total_resources().equivalent_slices());
+        EXPECT_THROW((void)nl.latency_cycles(pools(0)), PreconditionError);
+        EXPECT_THROW((void)nl.total_resources(pools(0)), PreconditionError);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-scheme netlist shapes.
+
+/// Fully parallel netlist of `clf` over `num_features` ports.
+Netlist lower(const ml::Classifier& clf, std::size_t num_features) {
+  return compile(clf, {.num_features = num_features}).netlist();
+}
+
+std::size_t comparators(const Netlist& nl) {
+  return nl.count_ops(NetOp::kCmpLe) + nl.count_ops(NetOp::kCmpGt);
+}
+
+TEST(Lowering, OneRIsTiny) {
+  ml::OneR model;
+  const auto d = ml::testdata::separable_binary();
+  model.train(d);
+  const Netlist nl = lower(model, d.num_features());
+  EXPECT_EQ(nl.count_ops(NetOp::kMul), 0u);
+  EXPECT_LE(nl.total_resources().equivalent_slices(), 200.0);
+}
+
+TEST(Lowering, StumpIsOneComparator) {
+  ml::DecisionStump model;
+  const auto d = ml::testdata::separable_binary();
+  model.train(d);
+  const Netlist nl = lower(model, d.num_features());
+  EXPECT_EQ(comparators(nl), 1u);
+  EXPECT_EQ(nl.count_ops(NetOp::kMux), 1u);
+}
+
+TEST(Lowering, J48ComparatorPerInternalNode) {
+  ml::J48 model;
+  const auto d = ml::testdata::separable_binary();
+  model.train(d);
+  const Netlist nl = lower(model, d.num_features());
+  EXPECT_EQ(comparators(nl), model.num_nodes() - model.num_leaves());
+  EXPECT_EQ(nl.count_ops(NetOp::kMux), model.num_nodes() - model.num_leaves());
+}
+
+TEST(Lowering, DeeperTreeHasHigherLatency) {
+  const auto d = ml::testdata::overlapping_binary(400);
+  ml::J48 shallow({.min_leaf = 2, .max_depth = 2, .prune = false});
+  ml::J48 deep({.min_leaf = 2, .max_depth = 12, .prune = false});
+  shallow.train(d);
+  deep.train(d);
+  ASSERT_GT(deep.depth(), shallow.depth());
+  EXPECT_LT(lower(shallow, 4).latency_cycles(), lower(deep, 4).latency_cycles());
+}
+
+TEST(Lowering, JRipComparatorPerCondition) {
+  ml::JRip model;
+  const auto d = ml::testdata::separable_binary();
+  model.train(d);
+  EXPECT_EQ(comparators(lower(model, d.num_features())),
+            model.total_conditions());
+}
+
+TEST(Lowering, NaiveBayesScalesWithClassesTimesFeatures) {
+  ml::NaiveBayes model;
+  const auto d = ml::testdata::three_class();  // 3 classes x 5 features
+  model.train(d);
+  const Netlist nl = lower(model, d.num_features());
+  // One log-density ROM per (class, feature), no multipliers.
+  EXPECT_EQ(nl.count_ops(NetOp::kLutRom), 3u * 5u);
+  EXPECT_EQ(nl.count_ops(NetOp::kMul), 0u);
+}
+
+TEST(Lowering, LinearBankMulticlassUsesKHyperplanes) {
+  // MLR and SVM score every class, binary included, then take the argmax.
+  for (const ml::Dataset& d : {ml::testdata::separable_binary(),
+                               ml::testdata::three_class()}) {
+    for (const std::string& scheme : {"MLR", "SVM"}) {
+      SCOPED_TRACE(scheme);
+      auto clf = ml::make_classifier(scheme);
+      clf->train(d);
+      const Netlist nl = lower(*clf, d.num_features());
+      const std::size_t k = d.num_classes();
+      EXPECT_EQ(nl.count_ops(NetOp::kMul), k * d.num_features());
+      ASSERT_EQ(nl.count_ops(NetOp::kArgmax), 1u);
+      EXPECT_EQ(nl.node(nl.node(nl.output()).args[0]).args.size(), k);
+    }
+  }
+}
+
+TEST(Lowering, MlpDominatesEverything) {
+  const auto d = ml::testdata::separable_binary();
+  ml::Mlp mlp({.epochs = 5});
+  mlp.train(d);
+  ml::OneR oner;
+  oner.train(d);
+  const Netlist mlp_nl = lower(mlp, d.num_features());
+  const Netlist oner_nl = lower(oner, d.num_features());
+  EXPECT_GT(mlp_nl.total_resources().equivalent_slices(),
+            50.0 * oner_nl.total_resources().equivalent_slices());
+  EXPECT_GT(mlp_nl.latency_cycles(), oner_nl.latency_cycles());
+}
+
+TEST(Lowering, MlpMultiplierCount) {
+  const auto d = ml::testdata::separable_binary();  // 4 features, 2 classes
+  ml::Mlp mlp({.hidden_units = 6, .epochs = 3});
+  mlp.train(d);
+  const Netlist nl = lower(mlp, d.num_features());
+  // hidden: 6*4, output: 2*6 → 36 multipliers; sigmoid ROM per hidden unit.
+  EXPECT_EQ(nl.count_ops(NetOp::kMul), 36u);
+  EXPECT_EQ(nl.count_ops(NetOp::kLutRom), 6u);
+}
+
+TEST(Lowering, DispatchCoversAllSynthesizableSchemes) {
+  const auto d = ml::testdata::separable_binary();
+  for (const auto& scheme :
+       {"OneR", "DecisionStump", "J48", "JRip", "NaiveBayes", "MLR", "SVM",
+        "MLP"}) {
+    auto clf = ml::make_classifier(scheme);
+    clf->train(d);
+    const Netlist nl = lower(*clf, d.num_features());
+    EXPECT_TRUE(nl.has_output()) << scheme;
+    EXPECT_GT(nl.latency_cycles(), 0u) << scheme;
+  }
+}
+
+TEST(Lowering, UnsupportedClassifierThrows) {
+  ml::Knn knn;
+  knn.train(ml::testdata::separable_binary());
+  EXPECT_THROW((void)lower(knn, 4), hmd::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// SynthesisReport and operator sharing on compiled designs.
+
+TEST(Synthesis, ReportFieldsConsistent) {
+  const auto d = ml::testdata::separable_binary();
+  auto clf = ml::make_classifier("MLR");
+  clf->train(d);
+  const SynthesisReport r =
+      compile(*clf, {.num_features = d.num_features()}).report();
+  EXPECT_EQ(r.design_name, "MLR");
+  EXPECT_GT(r.latency_cycles, 0u);
+  EXPECT_GT(r.area_slices(), 0.0);
+  EXPECT_GT(r.total_power_mw(), 0.0);
+  EXPECT_NEAR(r.latency_us(),
+              static_cast<double>(r.latency_cycles) / r.clock_mhz, 1e-12);
+  EXPECT_NE(r.to_string().find("MLR"), std::string::npos);
+}
+
+TEST(Synthesis, ResourceSharingTradesLatencyForArea) {
+  const auto d = ml::testdata::separable_binary();
+  ml::Mlp mlp({.hidden_units = 8, .epochs = 3});
+  mlp.train(d);
+  const Netlist nl = lower(mlp, d.num_features());
+  const OperatorAllocation shared{.multipliers = 2};
+  EXPECT_LT(nl.total_resources(shared).dsps, nl.total_resources().dsps);
+  EXPECT_GT(nl.latency_cycles(shared), nl.latency_cycles());
+}
+
+TEST(Synthesis, FasterClockShortensLatency) {
+  const auto d = ml::testdata::separable_binary();
+  auto clf = ml::make_classifier("SVM");
+  clf->train(d);
+  const auto slow =
+      compile(*clf, {.num_features = 4, .clock_mhz = 100.0}).report();
+  const auto fast =
+      compile(*clf, {.num_features = 4, .clock_mhz = 200.0}).report();
+  EXPECT_EQ(slow.latency_cycles, fast.latency_cycles);
+  EXPECT_GT(slow.latency_us(), fast.latency_us());
 }
 
 }  // namespace

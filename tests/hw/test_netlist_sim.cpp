@@ -154,19 +154,6 @@ TEST(NetlistSim, CyclesPerWindowIsPositiveAndSchemeDependent) {
   EXPECT_GT(mlr_sim.cycles_per_window(), stump_sim.cycles_per_window());
 }
 
-TEST(NetlistSim, WindowsPerSecondScalesWithClock) {
-  const auto data = ml::testdata::separable_binary(60);
-  auto clf = ml::make_classifier("J48");
-  clf->train(data);
-  CompileOptions opts;
-  opts.num_features = data.num_features();
-  const CompiledDesign design = compile(*clf, std::move(opts));
-  NetlistSimulator sim(design);
-  EXPECT_DOUBLE_EQ(sim.windows_per_second(200.0),
-                   2.0 * sim.windows_per_second(100.0));
-  EXPECT_GT(sim.windows_per_second(100.0), 0.0);
-}
-
 TEST(NetlistSim, RunRawMatchesRunOnTheQuantizedGrid) {
   const auto data = ml::testdata::single_feature_rule();
   auto clf = ml::make_classifier("OneR");

@@ -2,20 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "hw/compile.hpp"
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
-#include "util/error.hpp"
 
 namespace hmd::hw {
 namespace {
 
+std::vector<DesignPoint> explore_scheme(const std::string& scheme) {
+  const auto d = ml::testdata::separable_binary();
+  auto clf = ml::make_classifier(scheme);
+  clf->train(d);
+  return explore_design_space(
+      compile(*clf, {.num_features = d.num_features()}).netlist());
+}
+
 std::vector<DesignPoint> explore_mlp() {
-  static const std::vector<DesignPoint> points = [] {
-    const auto d = ml::testdata::separable_binary();
-    auto mlp = ml::make_classifier("MLP");
-    mlp->train(d);
-    return explore_classifier(*mlp, d.num_features());
-  }();
+  static const std::vector<DesignPoint> points = explore_scheme("MLP");
   return points;
 }
 
@@ -73,22 +78,9 @@ TEST(Pareto, UnboundedPointHasLowestLatency) {
 TEST(Pareto, TinyClassifierCollapsesToOnePoint) {
   // A stump has no shared-pool pressure: every allocation gives the same
   // design, so the explored set collapses after deduplication.
-  const auto d = ml::testdata::separable_binary();
-  auto stump = ml::make_classifier("DecisionStump");
-  stump->train(d);
-  const auto points = explore_classifier(*stump, d.num_features());
+  const auto points = explore_scheme("DecisionStump");
   EXPECT_LE(points.size(), 3u);
   EXPECT_TRUE(points.front().pareto_optimal);
-}
-
-TEST(Pareto, RejectsEmptyPoolList) {
-  const auto d = ml::testdata::separable_binary();
-  auto clf = ml::make_classifier("SVM");
-  clf->train(d);
-  ParetoOptions options;
-  options.pool_sizes.clear();
-  EXPECT_THROW((void)explore_classifier(*clf, 4, options),
-               hmd::PreconditionError);
 }
 
 }  // namespace

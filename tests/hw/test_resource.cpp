@@ -47,7 +47,6 @@ TEST(OpTable, AllOpsHaveNamesAndCosts) {
 
 TEST(OpTable, MultiplierIsDspMapped) {
   EXPECT_GT(hw_op_cost(HwOp::kMul).dsps, 0u);
-  EXPECT_GT(hw_op_cost(HwOp::kMac).dsps, 0u);
   EXPECT_EQ(hw_op_cost(HwOp::kCompare).dsps, 0u);
 }
 
