@@ -5,8 +5,8 @@
 //     general vs ensemble classifiers on the same HPC dataset, with
 //     hardware cost (a committee synthesizes N copies of the base design).
 //  2. Statistical anomaly detection (future work #2 / Tang et al.
-//     RAID'14): a benign-only Mahalanobis detector — no malware needed at
-//     training time — versus the supervised detectors.
+//     RAID'14): the benign-only MahalanobisThreshold detector — no malware
+//     needed at training time — versus the supervised detectors.
 //
 // Plus 10-fold cross-validation of the headline classifiers (the thesis
 // names cross-validation as an evaluation option but uses a test set).
@@ -16,7 +16,6 @@
 
 #include "bench/bench_common.hpp"
 #include "hw/compile.hpp"
-#include "ml/anomaly.hpp"
 #include "ml/cross_validation.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/evaluation.hpp"
@@ -36,7 +35,8 @@ void print_ensembles() {
   table.set_header({"detector", "accuracy %", "benign recall %",
                     "malware recall %", "area (slices)"});
   for (const std::string scheme :
-       {"DecisionStump", "AdaBoostM1", "J48", "Bagging", "Mahalanobis"}) {
+       {"DecisionStump", "AdaBoostM1", "J48", "Bagging",
+        "MahalanobisThreshold"}) {
     auto clf = ml::make_classifier(scheme);
     clf->train(train);
     const auto ev = ml::evaluate(*clf, test);
@@ -68,8 +68,8 @@ void print_ensembles() {
                    format("%.2f", ev.recall(1) * 100.0), area});
   }
   table.print(std::cout);
-  std::cout << "(Mahalanobis trains on BENIGN windows only — a zero-day-"
-               "capable baseline)\n\n";
+  std::cout << "(MahalanobisThreshold trains on BENIGN windows only — a "
+               "zero-day-capable baseline)\n\n";
 
   TextTable cv("10-fold cross-validation (binary, full feature set)");
   cv.set_header({"classifier", "pooled acc %", "fold mean %", "fold sd"});
@@ -100,7 +100,7 @@ BENCHMARK(BM_TrainAdaBoost)->Unit(benchmark::kMillisecond);
 
 void BM_MahalanobisScore(benchmark::State& state) {
   const auto& [train, test] = bench::binary_split();
-  auto clf = ml::make_classifier("Mahalanobis");
+  auto clf = ml::make_classifier("MahalanobisThreshold");
   clf->train(train);
   std::size_t i = 0;
   for (auto _ : state) {

@@ -19,11 +19,13 @@ namespace hmd::hw {
 
 namespace {
 
-/// Shared lowering state: the netlist under construction plus the input
-/// grid (per-feature scales) every threshold/weight folds against.
+/// Shared lowering state: the netlist under construction, the input grid
+/// every threshold/weight folds against, and the LUT-ROM size.
 struct LowerCtx {
   Netlist nl;
+  const std::vector<double>& absmax;
   const std::vector<double>& scales;
+  std::size_t lut_size;
 
   NetId in(std::size_t f) { return nl.input(static_cast<std::uint32_t>(f)); }
   /// Threshold literal on feature f's grid (floor semantics — see
@@ -66,6 +68,20 @@ std::int64_t weight_raw(double w, std::uint32_t shift) {
   HMD_REQUIRE(std::isfinite(scaled) && std::abs(scaled) < 9.2e18,
               "weight overflows the fixed-point datapath");
   return static_cast<std::int64_t>(std::llround(scaled));
+}
+
+/// sum_i in[i] * w[i] + bias as an adder tree (weights on the 2^-shift
+/// grid, bias on the Q16.16 score grid); reads the first in.size() of `w`.
+NetId affine_sum(Netlist& nl, const std::vector<NetId>& in,
+                 const std::vector<double>& w, double bias,
+                 std::uint32_t shift) {
+  std::vector<NetId> terms;
+  terms.reserve(in.size() + 1);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    terms.push_back(nl.mul(
+        in[i], nl.constant(NetType::kWide, weight_raw(w[i], shift)), shift));
+  terms.push_back(nl.constant(NetType::kWide, q16_raw(bias)));
+  return sum_tree(nl, std::move(terms));
 }
 
 // -- scheme lowerings -------------------------------------------------------
@@ -127,16 +143,15 @@ void lower_net_jrip(LowerCtx& ctx, const ml::JRip& model) {
   ctx.nl.set_output(decision);
 }
 
-/// Shared by MLR and SVM: per class a folded affine score over the raw
-/// input grid, then an argmax (softmax/sigmoid links are monotone, so the
-/// class decision needs neither). Weight rows are `d+1` wide, bias last,
-/// in standardized feature space; the standardizer and the per-feature
-/// input scales both fold into the baked constants.
-void lower_net_linear(LowerCtx& ctx,
-                      const std::vector<std::vector<double>>& weights,
-                      const ml::Standardizer& standardizer) {
-  const std::size_t k = weights.size();
-  HMD_REQUIRE(k >= 2, "compile: linear model is not trained");
+/// One affine sum per weight row (d+1 wide, bias last, standardized feature
+/// space) over the raw input grid, mapped through `activate`; the
+/// standardizer and the per-feature input scales fold into the constants.
+template <class Activate>
+std::vector<NetId> folded_affine(LowerCtx& ctx,
+                                 const std::vector<std::vector<double>>& rows,
+                                 const ml::Standardizer& standardizer,
+                                 Activate activate) {
+  const std::size_t k = rows.size();
   const std::size_t d = standardizer.num_features();
   HMD_REQUIRE(d <= ctx.nl.num_features(),
               "compile: model references a feature beyond the port list");
@@ -148,12 +163,12 @@ void lower_net_linear(LowerCtx& ctx,
   std::vector<double> bias(k, 0.0);
   double max_w = 0.0;
   for (std::size_t c = 0; c < k; ++c) {
-    bias[c] = weights[c][d];
+    bias[c] = rows[c][d];
     for (std::size_t f = 0; f < d; ++f) {
       const double sd = standardizer.stddevs()[f];
       if (sd > 0.0) {
-        folded[c][f] = weights[c][f] / sd / ctx.scales[f];
-        bias[c] -= weights[c][f] * standardizer.means()[f] / sd;
+        folded[c][f] = rows[c][f] / sd / ctx.scales[f];
+        bias[c] -= rows[c][f] * standardizer.means()[f] / sd;
       }
       max_w = std::max(max_w, std::abs(folded[c][f]));
     }
@@ -162,19 +177,21 @@ void lower_net_linear(LowerCtx& ctx,
 
   std::vector<NetId> inputs(d);
   for (std::size_t f = 0; f < d; ++f) inputs[f] = ctx.in(f);
-  std::vector<NetId> scores(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    std::vector<NetId> terms;
-    terms.reserve(d + 1);
-    for (std::size_t f = 0; f < d; ++f)
-      terms.push_back(ctx.nl.mul(
-          inputs[f],
-          ctx.nl.constant(NetType::kWide, weight_raw(folded[c][f], shift)),
-          shift));
-    terms.push_back(ctx.nl.constant(NetType::kWide, q16_raw(bias[c])));
-    scores[c] = sum_tree(ctx.nl, std::move(terms));
-  }
-  ctx.nl.set_output(ctx.nl.argmax(std::move(scores)));
+  std::vector<NetId> sums(k);
+  for (std::size_t c = 0; c < k; ++c)
+    sums[c] = activate(affine_sum(ctx.nl, inputs, folded[c], bias[c], shift));
+  return sums;
+}
+
+/// Shared by MLR and SVM: per class a folded affine score, then an argmax
+/// (softmax/sigmoid links are monotone, so the class decision needs
+/// neither).
+template <class Linear>
+void lower_net_linear(LowerCtx& ctx, const Linear& model) {
+  HMD_REQUIRE(model.weights().size() >= 2,
+              "compile: linear model is not trained");
+  ctx.nl.set_output(ctx.nl.argmax(folded_affine(
+      ctx, model.weights(), model.standardizer(), [](NetId s) { return s; })));
 }
 
 /// Gaussian log-density term for NaiveBayes ROM entries, clamped so the
@@ -185,33 +202,40 @@ std::int64_t log_density_raw(double x, double mean, double var) {
   return q16_raw(std::clamp(lp, -1e9, 1e9));
 }
 
-/// Builds a saturating ROM over feature f's raw input range [-R, +R].
-LutRom gaussian_lut(const LowerCtx& ctx, std::size_t f, double absmax,
-                    double mean, double var, std::size_t size) {
+/// A saturating ROM of `size` entries evenly covering the raw input range
+/// [-half_span, +half_span); entry i holds value_at(raw center of bucket i).
+template <class ValueAt>
+LutRom uniform_rom(LutRom::Kind kind, std::int64_t half_span,
+                   std::size_t size, ValueAt value_at) {
   LutRom rom;
-  rom.kind = LutRom::Kind::kGaussian;
-  const double scale = ctx.scales[f];
-  const std::int64_t hi = q16_raw(std::max(absmax, 1e-12) * scale);
-  rom.lo_raw = -hi;
+  rom.kind = kind;
+  rom.lo_raw = -half_span;
   std::uint32_t shift = 0;
   while ((std::int64_t{1} << shift) * static_cast<std::int64_t>(size) <
-         2 * hi)
+         2 * half_span)
     ++shift;
   rom.step_shift = shift;
   rom.values.resize(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    const std::int64_t center = rom.lo_raw +
-                                (static_cast<std::int64_t>(i) << shift) +
-                                (std::int64_t{1} << shift) / 2;
-    const double x = q16_value(center) / scale;
-    rom.values[i] = log_density_raw(x, mean, var);
-  }
+  for (std::size_t i = 0; i < size; ++i)
+    rom.values[i] = value_at(rom.lo_raw +
+                             (static_cast<std::int64_t>(i) << shift) +
+                             (std::int64_t{1} << shift) / 2);
   return rom;
 }
 
-void lower_net_naive_bayes(LowerCtx& ctx, const ml::NaiveBayes& model,
-                           const std::vector<double>& absmax,
-                           std::size_t lut_size) {
+/// Gaussian log-density ROM over feature f's raw input range [-R, +R].
+LutRom gaussian_lut(const LowerCtx& ctx, std::size_t f, double mean,
+                    double var) {
+  const double scale = ctx.scales[f];
+  return uniform_rom(
+      LutRom::Kind::kGaussian,
+      q16_raw(std::max(ctx.absmax[f], 1e-12) * scale), ctx.lut_size,
+      [&](std::int64_t center) {
+        return log_density_raw(q16_value(center) / scale, mean, var);
+      });
+}
+
+void lower_net_naive_bayes(LowerCtx& ctx, const ml::NaiveBayes& model) {
   const std::size_t k = model.num_classes();
   HMD_REQUIRE(k >= 2, "compile: NaiveBayes model is not trained");
   const std::size_t d = model.means().front().size();
@@ -224,12 +248,11 @@ void lower_net_naive_bayes(LowerCtx& ctx, const ml::NaiveBayes& model,
   for (std::size_t c = 0; c < k; ++c) {
     std::vector<NetId> terms;
     terms.reserve(d + 1);
-    for (std::size_t f = 0; f < d; ++f) {
-      const std::uint32_t table = ctx.nl.add_lut(
-          gaussian_lut(ctx, f, absmax[f], model.means()[c][f],
-                       model.variances()[c][f], lut_size));
-      terms.push_back(ctx.nl.lut_rom(table, inputs[f]));
-    }
+    for (std::size_t f = 0; f < d; ++f)
+      terms.push_back(ctx.nl.lut_rom(
+          ctx.nl.add_lut(gaussian_lut(ctx, f, model.means()[c][f],
+                                      model.variances()[c][f])),
+          inputs[f]));
     terms.push_back(ctx.nl.constant(
         NetType::kWide, q16_raw(std::log(model.priors()[c]))));
     scores[c] = sum_tree(ctx.nl, std::move(terms));
@@ -240,68 +263,23 @@ void lower_net_naive_bayes(LowerCtx& ctx, const ml::NaiveBayes& model,
 /// Sigmoid ROM over the pre-activation score grid: +-16 covers the curve
 /// to under 1.2e-7 saturation error.
 LutRom sigmoid_lut(std::size_t size) {
-  LutRom rom;
-  rom.kind = LutRom::Kind::kSigmoid;
-  constexpr std::int64_t kHalfSpan = std::int64_t{16} << 16;
-  rom.lo_raw = -kHalfSpan;
-  std::uint32_t shift = 0;
-  while ((std::int64_t{1} << shift) * static_cast<std::int64_t>(size) <
-         2 * kHalfSpan)
-    ++shift;
-  rom.step_shift = shift;
-  rom.values.resize(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    const std::int64_t center = rom.lo_raw +
-                                (static_cast<std::int64_t>(i) << shift) +
-                                (std::int64_t{1} << shift) / 2;
-    const double x = q16_value(center);
-    rom.values[i] = q16_raw(1.0 / (1.0 + std::exp(-x)));
-  }
-  return rom;
+  return uniform_rom(LutRom::Kind::kSigmoid, std::int64_t{16} << 16, size,
+                     [](std::int64_t center) {
+                       const double x = q16_value(center);
+                       return q16_raw(1.0 / (1.0 + std::exp(-x)));
+                     });
 }
 
-void lower_net_mlp(LowerCtx& ctx, const ml::Mlp& model,
-                   std::size_t lut_size) {
+void lower_net_mlp(LowerCtx& ctx, const ml::Mlp& model) {
   const std::size_t k = model.num_classes();
   HMD_REQUIRE(k >= 2, "compile: MLP model is not trained");
-  const ml::Standardizer& std_ = model.standardizer();
-  const std::size_t d = std_.num_features();
-  HMD_REQUIRE(d <= ctx.nl.num_features(),
-              "compile: model references a feature beyond the port list");
   const std::size_t h = model.hidden_units();
 
   // Hidden layer: folded affine + sigmoid ROM (one shared table).
-  std::vector<std::vector<double>> w1(h, std::vector<double>(d, 0.0));
-  std::vector<double> b1(h, 0.0);
-  double max_w1 = 0.0;
-  for (std::size_t j = 0; j < h; ++j) {
-    b1[j] = model.w1()[j][d];
-    for (std::size_t f = 0; f < d; ++f) {
-      const double sd = std_.stddevs()[f];
-      if (sd > 0.0) {
-        w1[j][f] = model.w1()[j][f] / sd / ctx.scales[f];
-        b1[j] -= model.w1()[j][f] * std_.means()[f] / sd;
-      }
-      max_w1 = std::max(max_w1, std::abs(w1[j][f]));
-    }
-  }
-  const std::uint32_t shift1 = weight_shift(max_w1);
-  const std::uint32_t sig_table = ctx.nl.add_lut(sigmoid_lut(lut_size));
-
-  std::vector<NetId> inputs(d);
-  for (std::size_t f = 0; f < d; ++f) inputs[f] = ctx.in(f);
-  std::vector<NetId> hidden(h);
-  for (std::size_t j = 0; j < h; ++j) {
-    std::vector<NetId> terms;
-    terms.reserve(d + 1);
-    for (std::size_t f = 0; f < d; ++f)
-      terms.push_back(ctx.nl.mul(
-          inputs[f],
-          ctx.nl.constant(NetType::kWide, weight_raw(w1[j][f], shift1)),
-          shift1));
-    terms.push_back(ctx.nl.constant(NetType::kWide, q16_raw(b1[j])));
-    hidden[j] = ctx.nl.lut_rom(sig_table, sum_tree(ctx.nl, std::move(terms)));
-  }
+  const std::uint32_t sig_table = ctx.nl.add_lut(sigmoid_lut(ctx.lut_size));
+  const std::vector<NetId> hidden = folded_affine(
+      ctx, model.w1(), model.standardizer(),
+      [&ctx, sig_table](NetId s) { return ctx.nl.lut_rom(sig_table, s); });
 
   // Output layer: activations are already value-domain Q16.16 in (0, 1).
   double max_w2 = 0.0;
@@ -310,104 +288,140 @@ void lower_net_mlp(LowerCtx& ctx, const ml::Mlp& model,
       max_w2 = std::max(max_w2, std::abs(model.w2()[c][j]));
   const std::uint32_t shift2 = weight_shift(max_w2);
   std::vector<NetId> scores(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    std::vector<NetId> terms;
-    terms.reserve(h + 1);
-    for (std::size_t j = 0; j < h; ++j)
-      terms.push_back(ctx.nl.mul(
-          hidden[j],
-          ctx.nl.constant(NetType::kWide,
-                          weight_raw(model.w2()[c][j], shift2)),
-          shift2));
-    terms.push_back(
-        ctx.nl.constant(NetType::kWide, q16_raw(model.w2()[c][h])));
-    scores[c] = sum_tree(ctx.nl, std::move(terms));
-  }
+  for (std::size_t c = 0; c < k; ++c)
+    scores[c] =
+        affine_sum(ctx.nl, hidden, model.w2()[c], model.w2()[c][h], shift2);
   ctx.nl.set_output(ctx.nl.argmax(std::move(scores)));
 }
 
 // -- calibration ------------------------------------------------------------
 
-void note_threshold(std::vector<double>& mag, std::size_t f, double t) {
-  if (f < mag.size() && std::isfinite(t))
-    mag[f] = std::max(mag[f], std::abs(t));
-}
-
-void collect_j48(std::vector<double>& mag, const ml::J48::Node& node) {
-  if (node.is_leaf()) return;
-  note_threshold(mag, node.feature, node.threshold);
-  collect_j48(mag, *node.left);
-  collect_j48(mag, *node.right);
-}
-
-std::vector<double> standardizer_absmax(const ml::Standardizer& std_,
+/// Standardizer-carrying schemes (MLR, SVM, MLP): |mean| + 6 sd per feature.
+template <class Standardized>
+std::vector<double> standardizer_absmax(const Standardized& model,
                                         std::size_t num_features) {
+  const ml::Standardizer& std_ = model.standardizer();
   std::vector<double> absmax(num_features, 1.0);
   for (std::size_t f = 0; f < std_.num_features() && f < num_features; ++f)
     absmax[f] = std::abs(std_.means()[f]) + 6.0 * std_.stddevs()[f];
   return absmax;
 }
 
-}  // namespace
-
-bool compile_supported(const ml::Classifier& clf) {
-  const ml::Classifier& u = clf.unwrap();
-  return dynamic_cast<const ml::OneR*>(&u) != nullptr ||
-         dynamic_cast<const ml::DecisionStump*>(&u) != nullptr ||
-         dynamic_cast<const ml::J48*>(&u) != nullptr ||
-         dynamic_cast<const ml::JRip*>(&u) != nullptr ||
-         dynamic_cast<const ml::NaiveBayes*>(&u) != nullptr ||
-         dynamic_cast<const ml::Logistic*>(&u) != nullptr ||
-         dynamic_cast<const ml::LinearSvm*>(&u) != nullptr ||
-         dynamic_cast<const ml::Mlp*>(&u) != nullptr;
+std::vector<double> naive_bayes_absmax(const ml::NaiveBayes& model,
+                                       std::size_t num_features) {
+  std::vector<double> absmax(num_features, 1.0);
+  for (std::size_t c = 0; c < model.num_classes(); ++c)
+    for (std::size_t f = 0; f < model.means()[c].size() && f < num_features;
+         ++f)
+      absmax[f] =
+          std::max(absmax[f], std::abs(model.means()[c][f]) +
+                                  6.0 * std::sqrt(model.variances()[c][f]));
+  return absmax;
 }
+
+// Tree/rule family: every (feature, threshold) compare the lowering bakes.
+template <class Note>
+void for_each_threshold(const ml::OneR& model, Note note) {
+  for (const auto& iv : model.intervals())
+    note(model.chosen_feature(), iv.upper_bound);
+}
+
+template <class Note>
+void for_each_threshold(const ml::DecisionStump& model, Note note) {
+  note(model.split_feature(), model.split_threshold());
+}
+
+template <class Note>
+void for_each_threshold(const ml::J48::Node& node, Note note) {
+  if (node.is_leaf()) return;
+  note(node.feature, node.threshold);
+  for_each_threshold(*node.left, note);
+  for_each_threshold(*node.right, note);
+}
+
+template <class Note>
+void for_each_threshold(const ml::J48& model, Note note) {
+  for_each_threshold(model.root(), note);
+}
+
+template <class Note>
+void for_each_threshold(const ml::JRip& model, Note note) {
+  for (const auto& rule : model.rules())
+    for (const auto& c : rule.conditions) note(c.feature, c.threshold);
+}
+
+/// The grid only has to resolve the baked thresholds — twice the largest
+/// magnitude per feature keeps every compare in range.
+template <class Tree>
+std::vector<double> threshold_absmax(const Tree& model,
+                                     std::size_t num_features) {
+  std::vector<double> mag(num_features, 0.0);
+  for_each_threshold(model, [&mag](std::size_t f, double t) {
+    if (f < mag.size() && std::isfinite(t))
+      mag[f] = std::max(mag[f], std::abs(t));
+  });
+  for (double& m : mag) m = std::max(1.0, 2.0 * m);
+  return mag;
+}
+
+// -- the scheme table -------------------------------------------------------
+
+/// One row per ml::rtl_schemes() entry (a test keeps the two equal), keyed
+/// by Classifier::name(): its dataset-free grid bound and its lowering.
+struct SchemeLowering {
+  const char* scheme;
+  std::vector<double> (*absmax)(const ml::Classifier& clf,
+                                std::size_t num_features);
+  void (*lower)(LowerCtx& ctx, const ml::Classifier& clf);
+};
+
+template <class M, std::vector<double> (*Absmax)(const M&, std::size_t),
+          void (*Lower)(LowerCtx&, const M&)>
+constexpr SchemeLowering lowering(const char* scheme) {
+  return {scheme,
+          [](const ml::Classifier& clf, std::size_t num_features) {
+            return Absmax(ml::unwrap_as<M>(clf), num_features);
+          },
+          [](LowerCtx& ctx, const ml::Classifier& clf) {
+            Lower(ctx, ml::unwrap_as<M>(clf));
+          }};
+}
+
+const SchemeLowering kLowerings[] = {
+    lowering<ml::OneR, threshold_absmax, lower_net_one_r>("OneR"),
+    lowering<ml::DecisionStump, threshold_absmax, lower_net_stump>(
+        "DecisionStump"),
+    lowering<ml::J48, threshold_absmax, lower_net_j48>("J48"),
+    lowering<ml::JRip, threshold_absmax, lower_net_jrip>("JRip"),
+    lowering<ml::NaiveBayes, naive_bayes_absmax, lower_net_naive_bayes>(
+        "NaiveBayes"),
+    lowering<ml::Logistic, standardizer_absmax, lower_net_linear>("MLR"),
+    lowering<ml::LinearSvm, standardizer_absmax, lower_net_linear>("SVM"),
+    lowering<ml::Mlp, standardizer_absmax, lower_net_mlp>("MLP"),
+};
+
+const SchemeLowering* find_lowering(const ml::Classifier& clf) {
+  const std::string name = clf.unwrap().name();
+  for (const SchemeLowering& row : kLowerings)
+    if (name == row.scheme) return &row;
+  return nullptr;
+}
+
+}  // namespace
 
 std::vector<double> model_feature_absmax(const ml::Classifier& clf,
                                          std::size_t num_features) {
-  const ml::Classifier& u = clf.unwrap();
-  if (const auto* m = dynamic_cast<const ml::Logistic*>(&u))
-    return standardizer_absmax(m->standardizer(), num_features);
-  if (const auto* m = dynamic_cast<const ml::LinearSvm*>(&u))
-    return standardizer_absmax(m->standardizer(), num_features);
-  if (const auto* m = dynamic_cast<const ml::Mlp*>(&u))
-    return standardizer_absmax(m->standardizer(), num_features);
-  if (const auto* m = dynamic_cast<const ml::NaiveBayes*>(&u)) {
-    std::vector<double> absmax(num_features, 1.0);
-    for (std::size_t c = 0; c < m->num_classes(); ++c)
-      for (std::size_t f = 0;
-           f < m->means()[c].size() && f < num_features; ++f)
-        absmax[f] = std::max(absmax[f], std::abs(m->means()[c][f]) +
-                                            6.0 * std::sqrt(m->variances()[c][f]));
-    return absmax;
-  }
-  // Tree/rule family: the grid only has to resolve the baked thresholds —
-  // twice the largest magnitude per feature keeps every compare in range.
-  std::vector<double> mag(num_features, 0.0);
-  if (const auto* oner = dynamic_cast<const ml::OneR*>(&u)) {
-    for (const auto& iv : oner->intervals())
-      note_threshold(mag, oner->chosen_feature(), iv.upper_bound);
-  } else if (const auto* stump = dynamic_cast<const ml::DecisionStump*>(&u)) {
-    note_threshold(mag, stump->split_feature(), stump->split_threshold());
-  } else if (const auto* tree = dynamic_cast<const ml::J48*>(&u)) {
-    collect_j48(mag, tree->root());
-  } else if (const auto* rip = dynamic_cast<const ml::JRip*>(&u)) {
-    for (const auto& rule : rip->rules())
-      for (const auto& c : rule.conditions)
-        note_threshold(mag, c.feature, c.threshold);
-  } else {
-    HMD_REQUIRE(false, "model_feature_absmax: no netlist lowering for " +
-                           u.name());
-  }
-  std::vector<double> absmax(num_features);
-  for (std::size_t f = 0; f < num_features; ++f)
-    absmax[f] = std::max(1.0, 2.0 * mag[f]);
-  return absmax;
+  const SchemeLowering* row = find_lowering(clf);
+  HMD_REQUIRE(row != nullptr, "model_feature_absmax: no netlist lowering for " +
+                                  clf.unwrap().name());
+  return row->absmax(clf, num_features);
 }
 
 Result<CompiledDesign> try_compile(const ml::Classifier& clf,
                                    CompileOptions options) {
   const ml::Classifier& u = clf.unwrap();
-  if (!compile_supported(u))
+  const SchemeLowering* row = find_lowering(u);
+  if (row == nullptr)
     return ErrorInfo(ErrCode::kPrecondition,
                      "no netlist lowering for scheme '" + u.name() +
                          "' (RTL-supported schemes compile; IBk/ZeroR/"
@@ -431,7 +445,7 @@ Result<CompiledDesign> try_compile(const ml::Classifier& clf,
                 "finite");
 
     std::vector<double> absmax = options.feature_absmax.empty()
-                                     ? model_feature_absmax(u, options.num_features)
+                                     ? row->absmax(u, options.num_features)
                                      : options.feature_absmax;
     HMD_REQUIRE(absmax.size() == options.num_features,
                 "CompileOptions.feature_absmax width mismatch");
@@ -443,23 +457,9 @@ Result<CompiledDesign> try_compile(const ml::Classifier& clf,
       scales[f] = q16_input_scale(absmax[f]);
     }
 
-    LowerCtx ctx{Netlist(options.num_features, u.num_classes()), scales};
-    if (const auto* oner = dynamic_cast<const ml::OneR*>(&u))
-      lower_net_one_r(ctx, *oner);
-    else if (const auto* stump = dynamic_cast<const ml::DecisionStump*>(&u))
-      lower_net_stump(ctx, *stump);
-    else if (const auto* tree = dynamic_cast<const ml::J48*>(&u))
-      lower_net_j48(ctx, *tree);
-    else if (const auto* rip = dynamic_cast<const ml::JRip*>(&u))
-      lower_net_jrip(ctx, *rip);
-    else if (const auto* nb = dynamic_cast<const ml::NaiveBayes*>(&u))
-      lower_net_naive_bayes(ctx, *nb, absmax, options.lut_size);
-    else if (const auto* mlr = dynamic_cast<const ml::Logistic*>(&u))
-      lower_net_linear(ctx, mlr->weights(), mlr->standardizer());
-    else if (const auto* svm = dynamic_cast<const ml::LinearSvm*>(&u))
-      lower_net_linear(ctx, svm->weights(), svm->standardizer());
-    else
-      lower_net_mlp(ctx, dynamic_cast<const ml::Mlp&>(u), options.lut_size);
+    LowerCtx ctx{Netlist(options.num_features, u.num_classes()), absmax,
+                 scales, options.lut_size};
+    row->lower(ctx, u);
 
     return CompiledDesign(std::move(ctx.nl), u.name(),
                           std::move(options.module_name), std::move(absmax),

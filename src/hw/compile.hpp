@@ -109,12 +109,10 @@ class CompiledDesign {
   double inferences_per_second_;
 };
 
-/// True when `clf` (after unwrapping decorators) has a netlist lowering.
-bool compile_supported(const ml::Classifier& clf);
-
-/// Compile, or a kPrecondition ErrorInfo (unsupported scheme, untrained
-/// model, bad options) — the Result-based surface for tools that fall back
-/// instead of aborting (the fpga serving tier, hmd_train --emit-rtl).
+/// Compile, or a kPrecondition ErrorInfo (a scheme outside
+/// ml::rtl_schemes(), untrained model, bad options) — the Result-based
+/// surface for tools that fall back instead of aborting (the fpga serving
+/// tier, hmd_train --emit-rtl).
 Result<CompiledDesign> try_compile(const ml::Classifier& clf,
                                    CompileOptions options);
 

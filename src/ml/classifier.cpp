@@ -61,4 +61,9 @@ void Classifier::require_trainable(const DatasetView& data) {
               "train: class attribute needs at least two values");
 }
 
+void throw_scheme_type_mismatch(const Classifier& clf) {
+  throw PreconditionError("classifier named '" + clf.name() +
+                          "' is not that scheme's type");
+}
+
 }  // namespace hmd::ml

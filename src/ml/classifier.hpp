@@ -49,8 +49,8 @@ class Classifier {
 
   /// The underlying scheme object. Identity for concrete schemes;
   /// decorators (InstrumentedClassifier) forward to the wrapped model so
-  /// dynamic_cast-dispatched consumers (hardware lowering, serialization)
-  /// see the concrete type.
+  /// consumers that dispatch on the scheme name (hardware lowering,
+  /// serialization) reach the concrete type through unwrap_as().
   virtual const Classifier& unwrap() const { return *this; }
 
   /// Number of classes the trained model distinguishes (0 before train()).
@@ -72,6 +72,19 @@ class Classifier {
                             std::size_t window_size,
                             std::span<const double> out) const;
 };
+
+[[noreturn]] void throw_scheme_type_mismatch(const Classifier& clf);
+
+/// `clf.unwrap()` as the concrete type M that implements its scheme name —
+/// the one checked downcast behind the name-keyed scheme tables. Throws
+/// hmd::PreconditionError when the object is not an M (e.g. a decorator
+/// that forwards name() but not unwrap()).
+template <class M>
+const M& unwrap_as(const Classifier& clf) {
+  const Classifier& u = clf.unwrap();
+  if (const auto* m = dynamic_cast<const M*>(&u)) return *m;
+  throw_scheme_type_mismatch(u);
+}
 
 /// Factory signature used by the experiment harness.
 using ClassifierFactory = std::unique_ptr<Classifier> (*)();

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "ml/classifier.hpp"
+#include "util/error.hpp"
 
 namespace hmd::ml {
 
@@ -38,6 +39,7 @@ class JRip final : public Classifier {
     double threshold = 0.0;
 
     bool matches(std::span<const double> features) const {
+      HMD_REQUIRE(feature < features.size(), "JRip: feature vector too short");
       const double v = features[feature];
       return greater ? v > threshold : v <= threshold;
     }

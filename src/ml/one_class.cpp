@@ -231,12 +231,36 @@ double KdeAnomaly::anomaly_score(std::span<const double> features) const {
 
 void MahalanobisThreshold::fit_benign(
     const std::vector<std::vector<double>>& rows) {
-  detector_.fit(rows);
+  const std::size_t d = rows.front().size();
+  Matrix x(rows.size(), d);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    for (std::size_t f = 0; f < d; ++f) x(i, f) = rows[i][f];
+
+  mean_.assign(d, 0.0);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    for (std::size_t f = 0; f < d; ++f) mean_[f] += x(i, f);
+  for (double& m : mean_) m /= static_cast<double>(rows.size());
+
+  Matrix cov = covariance_matrix(x);
+  double trace = 0.0;
+  for (std::size_t f = 0; f < d; ++f) trace += cov(f, f);
+  const double ridge =
+      regularization_ * std::max(trace / static_cast<double>(d), 1.0);
+  for (std::size_t f = 0; f < d; ++f) cov(f, f) += ridge;
+  precision_ = cov.inverse();
 }
 
 double MahalanobisThreshold::anomaly_score(
     std::span<const double> features) const {
-  return detector_.score(features);
+  HMD_REQUIRE(precision_.rows() > 0,
+              "MahalanobisThreshold: score before train");
+  HMD_REQUIRE(features.size() == mean_.size(),
+              "MahalanobisThreshold: feature width mismatch");
+  const std::size_t d = mean_.size();
+  std::vector<double> delta(d);
+  for (std::size_t f = 0; f < d; ++f) delta[f] = features[f] - mean_[f];
+  const std::vector<double> pd = precision_.multiply(delta);
+  return kernels::dot(delta, pd);
 }
 
 }  // namespace hmd::ml

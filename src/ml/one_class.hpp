@@ -21,8 +21,8 @@
 #include <span>
 #include <vector>
 
-#include "ml/anomaly.hpp"
 #include "ml/classifier.hpp"
+#include "ml/matrix.hpp"
 
 namespace hmd::ml {
 
@@ -148,34 +148,34 @@ class KdeAnomaly final : public OneClassClassifier {
   double bandwidth_ = 0.0;      ///< shared per-feature Gaussian bandwidth
 };
 
-/// Mahalanobis-distance threshold, reusing MahalanobisDetector (the same
-/// ridge-regularized covariance/precision kernel path as the "Mahalanobis"
-/// scheme) but with the calibrated continuous distribution of the
-/// one-class family instead of AnomalyClassifier's one-hot output.
+/// Squared Mahalanobis distance to the benign centroid under the
+/// ridge-regularized benign covariance — the statistical detector of the
+/// thesis's future work (Tang et al., RAID'14). The ridge keeps the
+/// precision matrix well-conditioned: counters are strongly correlated and
+/// some are near-constant on benign data.
 class MahalanobisThreshold final : public OneClassClassifier {
  public:
   struct Params {
     double threshold_percentile = 97.5;
-    double regularization = 1e-3;
+    double regularization = 1e-3;  ///< ridge, relative to the mean variance
   };
 
   MahalanobisThreshold() : MahalanobisThreshold(Params{}) {}
   explicit MahalanobisThreshold(Params params)
       : OneClassClassifier(params.threshold_percentile),
-        detector_({.threshold_percentile = params.threshold_percentile,
-                   .regularization = params.regularization}) {}
+        regularization_(params.regularization) {}
 
   std::string name() const override { return "MahalanobisThreshold"; }
   double anomaly_score(std::span<const double> features) const override;
-
-  const MahalanobisDetector& detector() const { return detector_; }
 
  protected:
   void fit_benign(const std::vector<std::vector<double>>& rows) override;
 
  private:
   friend struct ModelIo;
-  MahalanobisDetector detector_;
+  double regularization_;
+  std::vector<double> mean_;
+  Matrix precision_;  ///< inverse ridge covariance
 };
 
 }  // namespace hmd::ml

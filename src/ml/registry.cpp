@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ml/anomaly.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/j48.hpp"
@@ -94,13 +93,6 @@ const SchemeEntry kSchemes[] = {
            }));
      },
      kNone, kNone},
-    {"Mahalanobis", nullptr,
-     "benign-only anomaly detector (binary datasets)",
-     [] {
-       return std::unique_ptr<Classifier>(
-           std::make_unique<AnomalyClassifier>());
-     },
-     kNone, kNone, true},
     {"OneClassSvm", nullptr,
      "one-class SVM margin over benign windows (binary datasets)",
      [] {

@@ -4,8 +4,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
-#include "ml/anomaly.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/j48.hpp"
@@ -102,6 +102,17 @@ void write_matrix(std::ostream& out, const std::string& key,
   for (const auto& row : m) write_vector(out, "row", row);
 }
 
+/// A flat row-major buffer as `dim`-wide rows.
+std::vector<std::vector<double>> unflatten(const std::vector<double>& flat,
+                                           std::size_t dim) {
+  const std::size_t n = dim == 0 ? 0 : flat.size() / dim;
+  std::vector<std::vector<double>> rows(n);
+  for (std::size_t r = 0; r < n; ++r)
+    rows[r].assign(flat.begin() + static_cast<std::ptrdiff_t>(r * dim),
+                   flat.begin() + static_cast<std::ptrdiff_t>((r + 1) * dim));
+  return rows;
+}
+
 std::vector<std::vector<double>> read_matrix(Reader& reader,
                                              const std::string& key) {
   const auto dims = reader.expect(key);
@@ -120,6 +131,32 @@ void write_standardizer(std::ostream& out, const Standardizer& s) {
   write_vector(out, "standardizer_sd", s.stddevs());
 }
 
+/// A class index read from field `key`; must name one of `classes`.
+std::size_t class_index(std::size_t cls, std::size_t classes,
+                        const std::string& key) {
+  if (cls >= classes)
+    throw ParseError("model: '" + key + "' class " + std::to_string(cls) +
+                     " out of range for " + std::to_string(classes) +
+                     " classes");
+  return cls;
+}
+
+std::size_t class_index(const std::string& token, std::size_t classes,
+                        const std::string& key) {
+  return class_index(static_cast<std::size_t>(parse_int(token)), classes,
+                     key);
+}
+
+/// Every row of matrix field `key` must hold `width` values.
+void require_row_width(const std::vector<std::vector<double>>& m,
+                       std::size_t width, const std::string& key) {
+  for (const auto& row : m)
+    if (row.size() != width)
+      throw ParseError("model: '" + key + "' rows must hold " +
+                       std::to_string(width) + " values, got " +
+                       std::to_string(row.size()));
+}
+
 void write_j48_node(std::ostream& out, const J48::Node& node) {
   if (node.is_leaf()) {
     out << "leaf " << node.cls << ' ' << node.n << ' ' << node.errors
@@ -132,12 +169,12 @@ void write_j48_node(std::ostream& out, const J48::Node& node) {
   write_j48_node(out, *node.right);
 }
 
-std::unique_ptr<J48::Node> read_j48_node(Reader& reader) {
+std::unique_ptr<J48::Node> read_j48_node(Reader& reader, std::size_t classes) {
   const auto tokens = reader.line();
   auto node = std::make_unique<J48::Node>();
   if (tokens.front() == "leaf") {
     if (tokens.size() != 4) throw ParseError("model: bad leaf line");
-    node->cls = static_cast<std::size_t>(parse_int(tokens[1]));
+    node->cls = class_index(tokens[1], classes, "leaf");
     node->n = static_cast<std::size_t>(parse_int(tokens[2]));
     node->errors = static_cast<std::size_t>(parse_int(tokens[3]));
     return node;
@@ -146,24 +183,53 @@ std::unique_ptr<J48::Node> read_j48_node(Reader& reader) {
     throw ParseError("model: bad tree line");
   node->feature = static_cast<std::size_t>(parse_int(tokens[1]));
   node->threshold = dec(tokens[2]);
-  node->cls = static_cast<std::size_t>(parse_int(tokens[3]));
+  node->cls = class_index(tokens[3], classes, "split");
   node->n = static_cast<std::size_t>(parse_int(tokens[4]));
   node->errors = static_cast<std::size_t>(parse_int(tokens[5]));
-  node->left = read_j48_node(reader);
-  node->right = read_j48_node(reader);
+  node->left = read_j48_node(reader, classes);
+  node->right = read_j48_node(reader, classes);
   return node;
 }
 
+/// Scheme-dispatched body save/load (kSchemeIo), shared by the top-level
+/// entry points and nested committee members. save_body returns false for
+/// a scheme without a serialization.
+bool save_body(std::ostream& out, const Classifier& clf);
+std::unique_ptr<Classifier> load_body(Reader& reader,
+                                      const std::string& scheme,
+                                      std::size_t classes);
+
 }  // namespace
 
-/// Private-state access point (befriended by the supported classifiers).
+/// Private-state access point (befriended by the supported classifiers):
+/// one save/load pair per scheme. load() fills a freshly constructed
+/// model; the scheme and class count come from the file header.
 struct ModelIo {
-  // ----- save ------------------------------------------------------------
+  static Standardizer read_standardizer(Reader& reader) {
+    Standardizer s;
+    for (const auto& t : reader.expect("standardizer_mean"))
+      s.mean_.push_back(dec(t));
+    for (const auto& t : reader.expect("standardizer_sd"))
+      s.stddev_.push_back(dec(t));
+    if (s.mean_.size() != s.stddev_.size())
+      throw ParseError("model: standardizer width mismatch");
+    return s;
+  }
+
   static void save(std::ostream& out, const ZeroR& m) {
     HMD_REQUIRE(!m.priors_.empty(), "save_model: untrained ZeroR");
     out << "majority " << m.majority_ << '\n';
     write_vector(out, "priors", m.priors_);
   }
+  static void load(Reader& reader, std::size_t classes, ZeroR& m) {
+    m.majority_ = class_index(reader.expect_size("majority"), classes,
+                              "majority");
+    const auto tokens = reader.expect("priors");
+    for (const auto& t : tokens) m.priors_.push_back(dec(t));
+    if (m.priors_.size() != classes)
+      throw ParseError("model: prior count mismatch");
+  }
+
   static void save(std::ostream& out, const OneR& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained OneR");
     out << "feature " << m.feature_ << '\n';
@@ -172,15 +238,47 @@ struct ModelIo {
     for (const auto& iv : m.intervals_)
       out << "interval " << enc(iv.upper_bound) << ' ' << iv.cls << '\n';
   }
+  static void load(Reader& reader, std::size_t classes, OneR& m) {
+    m.num_classes_ = classes;
+    m.feature_ = reader.expect_size("feature");
+    m.training_error_ = dec(reader.expect("training_error").at(0));
+    const std::size_t n = reader.expect_size("intervals");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto tokens = reader.expect("interval");
+      if (tokens.size() != 2) throw ParseError("model: bad interval");
+      m.intervals_.push_back(
+          {.upper_bound = dec(tokens[0]),
+           .cls = class_index(tokens[1], classes, "interval")});
+    }
+    if (m.intervals_.empty()) throw ParseError("model: OneR no intervals");
+    m.trained_ = true;
+  }
+
   static void save(std::ostream& out, const DecisionStump& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained DecisionStump");
     out << "split " << m.feature_ << ' ' << enc(m.threshold_) << ' '
         << m.left_class_ << ' ' << m.right_class_ << '\n';
   }
+  static void load(Reader& reader, std::size_t classes, DecisionStump& m) {
+    m.num_classes_ = classes;
+    const auto tokens = reader.expect("split");
+    if (tokens.size() != 4) throw ParseError("model: bad stump");
+    m.feature_ = static_cast<std::size_t>(parse_int(tokens[0]));
+    m.threshold_ = dec(tokens[1]);
+    m.left_class_ = class_index(tokens[2], classes, "split");
+    m.right_class_ = class_index(tokens[3], classes, "split");
+    m.trained_ = true;
+  }
+
   static void save(std::ostream& out, const J48& m) {
     HMD_REQUIRE(m.root_ != nullptr, "save_model: untrained J48");
     write_j48_node(out, *m.root_);
   }
+  static void load(Reader& reader, std::size_t classes, J48& m) {
+    m.num_classes_ = classes;
+    m.root_ = read_j48_node(reader, classes);
+  }
+
   static void save(std::ostream& out, const JRip& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained JRip");
     out << "default " << m.default_class_ << '\n';
@@ -192,28 +290,95 @@ struct ModelIo {
             << ' ' << enc(cond.threshold) << '\n';
     }
   }
+  static void load(Reader& reader, std::size_t classes, JRip& m) {
+    m.num_classes_ = classes;
+    m.default_class_ =
+        class_index(reader.expect_size("default"), classes, "default");
+    const std::size_t n_rules = reader.expect_size("rules");
+    for (std::size_t r = 0; r < n_rules; ++r) {
+      const auto head = reader.expect("rule");
+      if (head.size() != 2) throw ParseError("model: bad rule header");
+      JRip::Rule rule;
+      rule.cls = class_index(head[0], classes, "rule");
+      const auto n_conds = static_cast<std::size_t>(parse_int(head[1]));
+      for (std::size_t c = 0; c < n_conds; ++c) {
+        const auto tokens = reader.expect("cond");
+        if (tokens.size() != 3) throw ParseError("model: bad condition");
+        rule.conditions.push_back(
+            {.feature = static_cast<std::size_t>(parse_int(tokens[0])),
+             .greater = parse_int(tokens[1]) != 0,
+             .threshold = dec(tokens[2])});
+      }
+      m.rules_.push_back(std::move(rule));
+    }
+    m.trained_ = true;
+  }
+
   static void save(std::ostream& out, const NaiveBayes& m) {
     HMD_REQUIRE(!m.priors_.empty(), "save_model: untrained NaiveBayes");
     write_vector(out, "priors", m.priors_);
     write_matrix(out, "means", m.mean_);
     write_matrix(out, "variances", m.var_);
   }
-  static void save(std::ostream& out, const Logistic& m) {
-    HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained MLR");
+  static void load(Reader& reader, std::size_t classes, NaiveBayes& m) {
+    const auto tokens = reader.expect("priors");
+    for (const auto& t : tokens) m.priors_.push_back(dec(t));
+    m.mean_ = read_matrix(reader, "means");
+    m.var_ = read_matrix(reader, "variances");
+    if (m.priors_.size() != classes || m.mean_.size() != classes ||
+        m.var_.size() != classes)
+      throw ParseError("model: NaiveBayes shape mismatch");
+    require_row_width(m.var_, m.mean_.front().size(), "variances");
+  }
+
+  // MLR and SVM share one body: a standardizer plus one d+1 wide weight
+  // row (bias last) per class.
+  template <class Linear>
+  static void save_linear(std::ostream& out, const Linear& m) {
+    HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained " + m.name());
     write_standardizer(out, m.standardizer_);
     write_matrix(out, "weights", m.weights_);
+  }
+  template <class Linear>
+  static void load_linear(Reader& reader, std::size_t classes, Linear& m) {
+    m.standardizer_ = read_standardizer(reader);
+    m.weights_ = read_matrix(reader, "weights");
+    if (m.weights_.size() != classes)
+      throw ParseError("model: " + m.name() + " shape mismatch");
+    require_row_width(m.weights_, m.standardizer_.num_features() + 1,
+                      "weights");
+    m.build_packed();
+  }
+  static void save(std::ostream& out, const Logistic& m) {
+    save_linear(out, m);
+  }
+  static void load(Reader& reader, std::size_t classes, Logistic& m) {
+    load_linear(reader, classes, m);
   }
   static void save(std::ostream& out, const LinearSvm& m) {
-    HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained SVM");
-    write_standardizer(out, m.standardizer_);
-    write_matrix(out, "weights", m.weights_);
+    save_linear(out, m);
   }
+  static void load(Reader& reader, std::size_t classes, LinearSvm& m) {
+    load_linear(reader, classes, m);
+  }
+
   static void save(std::ostream& out, const Mlp& m) {
     HMD_REQUIRE(!m.w2_.empty(), "save_model: untrained MLP");
     write_standardizer(out, m.standardizer_);
     write_matrix(out, "w1", m.w1_);
     write_matrix(out, "w2", m.w2_);
   }
+  static void load(Reader& reader, std::size_t classes, Mlp& m) {
+    m.standardizer_ = read_standardizer(reader);
+    m.w1_ = read_matrix(reader, "w1");
+    m.w2_ = read_matrix(reader, "w2");
+    if (m.w2_.size() != classes)
+      throw ParseError("model: MLP shape mismatch");
+    require_row_width(m.w1_, m.standardizer_.num_features() + 1, "w1");
+    require_row_width(m.w2_, m.w1_.size() + 1, "w2");
+    m.build_packed();
+  }
+
   static void save(std::ostream& out, const Knn& m) {
     HMD_REQUIRE(!m.points_.empty(), "save_model: untrained IBk");
     out << "k " << m.k_ << '\n';
@@ -223,76 +388,34 @@ struct ModelIo {
     out << '\n';
     // points_ is stored flat row-major; the on-disk format stays one row
     // per reference point.
-    const std::size_t dim = m.standardizer_.means().size();
-    const std::size_t n = dim == 0 ? 0 : m.points_.size() / dim;
-    std::vector<std::vector<double>> rows(n);
-    for (std::size_t r = 0; r < n; ++r)
-      rows[r].assign(m.points_.begin() + static_cast<std::ptrdiff_t>(r * dim),
-                     m.points_.begin() +
-                         static_cast<std::ptrdiff_t>((r + 1) * dim));
-    write_matrix(out, "points", rows);
+    write_matrix(out, "points",
+                 unflatten(m.points_, m.standardizer_.means().size()));
   }
-  static void save(std::ostream& out, const AnomalyClassifier& m) {
-    const MahalanobisDetector& d = m.detector_;
-    HMD_REQUIRE(d.fitted(), "save_model: untrained Mahalanobis");
-    write_vector(out, "mean", d.mean_);
-    std::vector<std::vector<double>> precision(d.precision_.rows());
-    for (std::size_t r = 0; r < d.precision_.rows(); ++r) {
-      const auto row = d.precision_.row(r);
-      precision[r].assign(row.begin(), row.end());
+  static void load(Reader& reader, std::size_t classes, Knn& m) {
+    m.num_classes_ = classes;
+    m.k_ = reader.expect_size("k");
+    m.standardizer_ = read_standardizer(reader);
+    const auto tokens = reader.expect("labels");
+    for (const auto& t : tokens)
+      m.labels_.push_back(static_cast<std::size_t>(parse_int(t)));
+    const auto rows = read_matrix(reader, "points");
+    if (rows.size() != m.labels_.size() || rows.empty())
+      throw ParseError("model: IBk shape mismatch");
+    const std::size_t dim = rows.front().size();
+    m.points_.reserve(rows.size() * dim);
+    for (const auto& row : rows) {
+      if (row.size() != dim)
+        throw ParseError("model: IBk ragged points matrix");
+      m.points_.insert(m.points_.end(), row.begin(), row.end());
     }
-    write_matrix(out, "precision", precision);
-    out << "threshold " << enc(d.threshold_) << '\n';
+    m.build_quantized();
+    m.build_index();
+    for (std::size_t l : m.labels_)
+      if (l >= classes) throw ParseError("model: IBk label out of range");
   }
-  /// Shared tail of every one-class block: the calibrated sigmoid.
-  static void save_calibration(std::ostream& out,
-                               const OneClassClassifier& m) {
-    out << "threshold " << enc(m.threshold_) << '\n';
-    out << "scale " << enc(m.scale_) << '\n';
-  }
-  static void load_calibration(Reader& reader, OneClassClassifier& m) {
-    m.threshold_ = dec(reader.expect("threshold").at(0));
-    m.scale_ = dec(reader.expect("scale").at(0));
-    if (m.scale_ <= 0.0)
-      throw ParseError("model: one-class scale must be positive");
-  }
-  static void save(std::ostream& out, const OneClassSvm& m) {
-    HMD_REQUIRE(m.calibrated(), "save_model: untrained OneClassSvm");
-    write_vector(out, "mean", m.mean_);
-    write_vector(out, "sd", m.sd_);
-    write_vector(out, "weights", m.weights_);
-    out << "rho " << enc(m.rho_) << '\n';
-    save_calibration(out, m);
-  }
-  static void save(std::ostream& out, const KdeAnomaly& m) {
-    HMD_REQUIRE(m.calibrated(), "save_model: untrained KdeAnomaly");
-    write_vector(out, "mean", m.mean_);
-    write_vector(out, "sd", m.sd_);
-    out << "bandwidth " << enc(m.bandwidth_) << '\n';
-    const std::size_t dim = m.mean_.size();
-    const std::size_t n = dim == 0 ? 0 : m.points_.size() / dim;
-    std::vector<std::vector<double>> rows(n);
-    for (std::size_t r = 0; r < n; ++r)
-      rows[r].assign(
-          m.points_.begin() + static_cast<std::ptrdiff_t>(r * dim),
-          m.points_.begin() + static_cast<std::ptrdiff_t>((r + 1) * dim));
-    write_matrix(out, "points", rows);
-    save_calibration(out, m);
-  }
-  static void save(std::ostream& out, const MahalanobisThreshold& m) {
-    HMD_REQUIRE(m.calibrated(), "save_model: untrained MahalanobisThreshold");
-    const MahalanobisDetector& d = m.detector_;
-    write_vector(out, "mean", d.mean_);
-    std::vector<std::vector<double>> precision(d.precision_.rows());
-    for (std::size_t r = 0; r < d.precision_.rows(); ++r) {
-      const auto row = d.precision_.row(r);
-      precision[r].assign(row.begin(), row.end());
-    }
-    write_matrix(out, "precision", precision);
-    save_calibration(out, m);
-  }
-  /// Committee save: alphas (AdaBoost only) plus each member as a nested
-  /// "member <scheme>" block reusing the member scheme's own format.
+
+  // ----- committees: alphas (AdaBoost only) plus each member as a nested
+  // "member <scheme>" block reusing the member scheme's own format.
   static void save_committee(
       std::ostream& out, const std::vector<std::unique_ptr<Classifier>>& members,
       const std::vector<double>* alphas) {
@@ -305,303 +428,204 @@ struct ModelIo {
                                 member->name());
     }
   }
+  static std::vector<std::unique_ptr<Classifier>> load_committee(
+      Reader& reader, std::size_t classes, std::vector<double>* alphas) {
+    const std::size_t n_members = reader.expect_size("members");
+    if (n_members == 0) throw ParseError("model: empty committee");
+    if (alphas != nullptr) *alphas = read_vector(reader, "alphas", n_members);
+    std::vector<std::unique_ptr<Classifier>> members;
+    members.reserve(n_members);
+    for (std::size_t i = 0; i < n_members; ++i) {
+      const auto head = reader.expect("member");
+      if (head.size() != 1) throw ParseError("model: bad member header");
+      members.push_back(load_body(reader, head[0], classes));
+    }
+    return members;
+  }
   static void save(std::ostream& out, const AdaBoostM1& m) {
     HMD_REQUIRE(!m.members_.empty(), "save_model: untrained AdaBoostM1");
     save_committee(out, m.members_, &m.alphas_);
+  }
+  static void load(Reader& reader, std::size_t classes, AdaBoostM1& m) {
+    m.num_classes_ = classes;
+    m.members_ = load_committee(reader, classes, &m.alphas_);
   }
   static void save(std::ostream& out, const Bagging& m) {
     HMD_REQUIRE(!m.members_.empty(), "save_model: untrained Bagging");
     save_committee(out, m.members_, nullptr);
   }
-
-  /// Scheme-dispatched body save shared by save_model and nested committee
-  /// members; returns false for schemes without a serialization.
-  static bool save_body(std::ostream& out, const Classifier& wrapped) {
-    const Classifier& clf = wrapped.unwrap();
-    if (const auto* m = dynamic_cast<const ZeroR*>(&clf)) save(out, *m);
-    else if (const auto* m1 = dynamic_cast<const OneR*>(&clf)) save(out, *m1);
-    else if (const auto* m2 = dynamic_cast<const DecisionStump*>(&clf)) save(out, *m2);
-    else if (const auto* m3 = dynamic_cast<const J48*>(&clf)) save(out, *m3);
-    else if (const auto* m4 = dynamic_cast<const JRip*>(&clf)) save(out, *m4);
-    else if (const auto* m5 = dynamic_cast<const NaiveBayes*>(&clf)) save(out, *m5);
-    else if (const auto* m6 = dynamic_cast<const Logistic*>(&clf)) save(out, *m6);
-    else if (const auto* m7 = dynamic_cast<const LinearSvm*>(&clf)) save(out, *m7);
-    else if (const auto* m8 = dynamic_cast<const Mlp*>(&clf)) save(out, *m8);
-    else if (const auto* m9 = dynamic_cast<const Knn*>(&clf)) save(out, *m9);
-    else if (const auto* m10 = dynamic_cast<const AnomalyClassifier*>(&clf)) save(out, *m10);
-    else if (const auto* m11 = dynamic_cast<const AdaBoostM1*>(&clf)) save(out, *m11);
-    else if (const auto* m12 = dynamic_cast<const Bagging*>(&clf)) save(out, *m12);
-    else if (const auto* m13 = dynamic_cast<const OneClassSvm*>(&clf)) save(out, *m13);
-    else if (const auto* m14 = dynamic_cast<const KdeAnomaly*>(&clf)) save(out, *m14);
-    else if (const auto* m15 = dynamic_cast<const MahalanobisThreshold*>(&clf)) save(out, *m15);
-    else return false;
-    return true;
+  static void load(Reader& reader, std::size_t classes, Bagging& m) {
+    m.num_classes_ = classes;
+    m.members_ = load_committee(reader, classes, nullptr);
   }
 
-  // ----- load ------------------------------------------------------------
-  static Standardizer read_standardizer(Reader& reader) {
-    Standardizer s;
-    {
-      const auto tokens = reader.expect("standardizer_mean");
-      for (const auto& t : tokens) s.mean_.push_back(dec(t));
-    }
-    {
-      const auto tokens = reader.expect("standardizer_sd");
-      for (const auto& t : tokens) s.stddev_.push_back(dec(t));
-    }
-    if (s.mean_.size() != s.stddev_.size())
-      throw ParseError("model: standardizer width mismatch");
-    return s;
+  // ----- one-class family: binary by construction; every block ends with
+  // the calibrated sigmoid.
+  static void save_calibration(std::ostream& out,
+                               const OneClassClassifier& m) {
+    out << "threshold " << enc(m.threshold_) << '\n';
+    out << "scale " << enc(m.scale_) << '\n';
+  }
+  static void load_calibration(Reader& reader, OneClassClassifier& m) {
+    m.threshold_ = dec(reader.expect("threshold").at(0));
+    m.scale_ = dec(reader.expect("scale").at(0));
+    if (m.scale_ <= 0.0)
+      throw ParseError("model: one-class scale must be positive");
+  }
+  static void require_binary(std::size_t classes, const Classifier& m) {
+    if (classes != 2)
+      throw ParseError("model: " + m.name() + " must be binary");
   }
 
-  static std::unique_ptr<Classifier> load(Reader& reader,
-                                          const std::string& scheme,
-                                          std::size_t classes) {
-    if (scheme == "ZeroR") {
-      auto m = std::make_unique<ZeroR>();
-      m->majority_ = reader.expect_size("majority");
-      const auto tokens = reader.expect("priors");
-      for (const auto& t : tokens) m->priors_.push_back(dec(t));
-      if (m->priors_.size() != classes)
-        throw ParseError("model: prior count mismatch");
-      return m;
+  static void save(std::ostream& out, const OneClassSvm& m) {
+    HMD_REQUIRE(m.calibrated(), "save_model: untrained OneClassSvm");
+    write_vector(out, "mean", m.mean_);
+    write_vector(out, "sd", m.sd_);
+    write_vector(out, "weights", m.weights_);
+    out << "rho " << enc(m.rho_) << '\n';
+    save_calibration(out, m);
+  }
+  static void load(Reader& reader, std::size_t classes, OneClassSvm& m) {
+    require_binary(classes, m);
+    for (const auto& t : reader.expect("mean")) m.mean_.push_back(dec(t));
+    m.sd_ = read_vector(reader, "sd", m.mean_.size());
+    m.weights_ = read_vector(reader, "weights", 2 * m.mean_.size());
+    if (m.mean_.empty())
+      throw ParseError("model: OneClassSvm shape mismatch");
+    m.rho_ = dec(reader.expect("rho").at(0));
+    load_calibration(reader, m);
+  }
+
+  static void save(std::ostream& out, const KdeAnomaly& m) {
+    HMD_REQUIRE(m.calibrated(), "save_model: untrained KdeAnomaly");
+    write_vector(out, "mean", m.mean_);
+    write_vector(out, "sd", m.sd_);
+    out << "bandwidth " << enc(m.bandwidth_) << '\n';
+    write_matrix(out, "points", unflatten(m.points_, m.mean_.size()));
+    save_calibration(out, m);
+  }
+  static void load(Reader& reader, std::size_t classes, KdeAnomaly& m) {
+    require_binary(classes, m);
+    for (const auto& t : reader.expect("mean")) m.mean_.push_back(dec(t));
+    m.sd_ = read_vector(reader, "sd", m.mean_.size());
+    m.bandwidth_ = dec(reader.expect("bandwidth").at(0));
+    if (m.mean_.empty() || m.bandwidth_ <= 0.0)
+      throw ParseError("model: KdeAnomaly shape mismatch");
+    const auto rows = read_matrix(reader, "points");
+    if (rows.empty()) throw ParseError("model: KdeAnomaly has no points");
+    m.points_.reserve(rows.size() * m.mean_.size());
+    for (const auto& row : rows) {
+      if (row.size() != m.mean_.size())
+        throw ParseError("model: KdeAnomaly point width mismatch");
+      m.points_.insert(m.points_.end(), row.begin(), row.end());
     }
-    if (scheme == "OneR") {
-      auto m = std::make_unique<OneR>();
-      m->num_classes_ = classes;
-      m->feature_ = reader.expect_size("feature");
-      m->training_error_ = dec(reader.expect("training_error").at(0));
-      const std::size_t n = reader.expect_size("intervals");
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto tokens = reader.expect("interval");
-        if (tokens.size() != 2) throw ParseError("model: bad interval");
-        m->intervals_.push_back(
-            {.upper_bound = dec(tokens[0]),
-             .cls = static_cast<std::size_t>(parse_int(tokens[1]))});
-      }
-      if (m->intervals_.empty()) throw ParseError("model: OneR no intervals");
-      m->trained_ = true;
-      return m;
+    load_calibration(reader, m);
+  }
+
+  static void save(std::ostream& out, const MahalanobisThreshold& m) {
+    HMD_REQUIRE(m.calibrated(), "save_model: untrained MahalanobisThreshold");
+    write_vector(out, "mean", m.mean_);
+    std::vector<std::vector<double>> precision(m.precision_.rows());
+    for (std::size_t r = 0; r < m.precision_.rows(); ++r) {
+      const auto row = m.precision_.row(r);
+      precision[r].assign(row.begin(), row.end());
     }
-    if (scheme == "DecisionStump") {
-      auto m = std::make_unique<DecisionStump>();
-      m->num_classes_ = classes;
-      const auto tokens = reader.expect("split");
-      if (tokens.size() != 4) throw ParseError("model: bad stump");
-      m->feature_ = static_cast<std::size_t>(parse_int(tokens[0]));
-      m->threshold_ = dec(tokens[1]);
-      m->left_class_ = static_cast<std::size_t>(parse_int(tokens[2]));
-      m->right_class_ = static_cast<std::size_t>(parse_int(tokens[3]));
-      m->trained_ = true;
-      return m;
+    write_matrix(out, "precision", precision);
+    save_calibration(out, m);
+  }
+  static void load(Reader& reader, std::size_t classes,
+                   MahalanobisThreshold& m) {
+    require_binary(classes, m);
+    for (const auto& t : reader.expect("mean")) m.mean_.push_back(dec(t));
+    const auto precision = read_matrix(reader, "precision");
+    if (precision.size() != m.mean_.size() || m.mean_.empty())
+      throw ParseError("model: MahalanobisThreshold shape mismatch");
+    m.precision_ = Matrix(precision.size(), precision.size());
+    for (std::size_t r = 0; r < precision.size(); ++r) {
+      if (precision[r].size() != m.mean_.size())
+        throw ParseError("model: MahalanobisThreshold precision not square");
+      for (std::size_t c = 0; c < precision[r].size(); ++c)
+        m.precision_(r, c) = precision[r][c];
     }
-    if (scheme == "J48") {
-      auto m = std::make_unique<J48>();
-      m->num_classes_ = classes;
-      m->root_ = read_j48_node(reader);
-      return m;
-    }
-    if (scheme == "JRip") {
-      auto m = std::make_unique<JRip>();
-      m->num_classes_ = classes;
-      m->default_class_ = reader.expect_size("default");
-      const std::size_t n_rules = reader.expect_size("rules");
-      for (std::size_t r = 0; r < n_rules; ++r) {
-        const auto head = reader.expect("rule");
-        if (head.size() != 2) throw ParseError("model: bad rule header");
-        JRip::Rule rule;
-        rule.cls = static_cast<std::size_t>(parse_int(head[0]));
-        const auto n_conds = static_cast<std::size_t>(parse_int(head[1]));
-        for (std::size_t c = 0; c < n_conds; ++c) {
-          const auto tokens = reader.expect("cond");
-          if (tokens.size() != 3) throw ParseError("model: bad condition");
-          rule.conditions.push_back(
-              {.feature = static_cast<std::size_t>(parse_int(tokens[0])),
-               .greater = parse_int(tokens[1]) != 0,
-               .threshold = dec(tokens[2])});
-        }
-        m->rules_.push_back(std::move(rule));
-      }
-      m->trained_ = true;
-      return m;
-    }
-    if (scheme == "NaiveBayes") {
-      auto m = std::make_unique<NaiveBayes>();
-      const auto tokens = reader.expect("priors");
-      for (const auto& t : tokens) m->priors_.push_back(dec(t));
-      m->mean_ = read_matrix(reader, "means");
-      m->var_ = read_matrix(reader, "variances");
-      if (m->priors_.size() != classes || m->mean_.size() != classes ||
-          m->var_.size() != classes)
-        throw ParseError("model: NaiveBayes shape mismatch");
-      return m;
-    }
-    if (scheme == "MLR") {
-      auto m = std::make_unique<Logistic>();
-      m->standardizer_ = read_standardizer(reader);
-      m->weights_ = read_matrix(reader, "weights");
-      if (m->weights_.size() != classes)
-        throw ParseError("model: MLR shape mismatch");
-      m->build_packed();
-      return m;
-    }
-    if (scheme == "SVM") {
-      auto m = std::make_unique<LinearSvm>();
-      m->standardizer_ = read_standardizer(reader);
-      m->weights_ = read_matrix(reader, "weights");
-      if (m->weights_.size() != classes)
-        throw ParseError("model: SVM shape mismatch");
-      m->build_packed();
-      return m;
-    }
-    if (scheme == "MLP") {
-      auto m = std::make_unique<Mlp>();
-      m->standardizer_ = read_standardizer(reader);
-      m->w1_ = read_matrix(reader, "w1");
-      m->w2_ = read_matrix(reader, "w2");
-      if (m->w2_.size() != classes)
-        throw ParseError("model: MLP shape mismatch");
-      m->build_packed();
-      return m;
-    }
-    if (scheme == "IBk") {
-      auto m = std::make_unique<Knn>();
-      m->num_classes_ = classes;
-      m->k_ = reader.expect_size("k");
-      m->standardizer_ = read_standardizer(reader);
-      const auto tokens = reader.expect("labels");
-      for (const auto& t : tokens)
-        m->labels_.push_back(static_cast<std::size_t>(parse_int(t)));
-      const auto rows = read_matrix(reader, "points");
-      if (rows.size() != m->labels_.size() || rows.empty())
-        throw ParseError("model: IBk shape mismatch");
-      const std::size_t dim = rows.front().size();
-      m->points_.reserve(rows.size() * dim);
-      for (const auto& row : rows) {
-        if (row.size() != dim)
-          throw ParseError("model: IBk ragged points matrix");
-        m->points_.insert(m->points_.end(), row.begin(), row.end());
-      }
-      m->build_quantized();
-      m->build_index();
-      for (std::size_t l : m->labels_)
-        if (l >= classes) throw ParseError("model: IBk label out of range");
-      return m;
-    }
-    if (scheme == "Mahalanobis") {
-      if (classes != 2)
-        throw ParseError("model: Mahalanobis must be binary");
-      auto m = std::make_unique<AnomalyClassifier>();
-      MahalanobisDetector& d = m->detector_;
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) d.mean_.push_back(dec(t));
-      }
-      const auto precision = read_matrix(reader, "precision");
-      if (precision.size() != d.mean_.size() || d.mean_.empty())
-        throw ParseError("model: Mahalanobis shape mismatch");
-      d.precision_ = Matrix(precision.size(), precision.size());
-      for (std::size_t r = 0; r < precision.size(); ++r) {
-        if (precision[r].size() != d.mean_.size())
-          throw ParseError("model: Mahalanobis precision not square");
-        for (std::size_t c = 0; c < precision[r].size(); ++c)
-          d.precision_(r, c) = precision[r][c];
-      }
-      d.threshold_ = dec(reader.expect("threshold").at(0));
-      return m;
-    }
-    if (scheme == "OneClassSvm") {
-      if (classes != 2)
-        throw ParseError("model: OneClassSvm must be binary");
-      auto m = std::make_unique<OneClassSvm>();
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) m->mean_.push_back(dec(t));
-      }
-      m->sd_ = read_vector(reader, "sd", m->mean_.size());
-      m->weights_ = read_vector(reader, "weights", 2 * m->mean_.size());
-      if (m->mean_.empty())
-        throw ParseError("model: OneClassSvm shape mismatch");
-      m->rho_ = dec(reader.expect("rho").at(0));
-      load_calibration(reader, *m);
-      return m;
-    }
-    if (scheme == "KdeAnomaly") {
-      if (classes != 2) throw ParseError("model: KdeAnomaly must be binary");
-      auto m = std::make_unique<KdeAnomaly>();
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) m->mean_.push_back(dec(t));
-      }
-      m->sd_ = read_vector(reader, "sd", m->mean_.size());
-      m->bandwidth_ = dec(reader.expect("bandwidth").at(0));
-      if (m->mean_.empty() || m->bandwidth_ <= 0.0)
-        throw ParseError("model: KdeAnomaly shape mismatch");
-      const auto rows = read_matrix(reader, "points");
-      if (rows.empty()) throw ParseError("model: KdeAnomaly has no points");
-      m->points_.reserve(rows.size() * m->mean_.size());
-      for (const auto& row : rows) {
-        if (row.size() != m->mean_.size())
-          throw ParseError("model: KdeAnomaly point width mismatch");
-        m->points_.insert(m->points_.end(), row.begin(), row.end());
-      }
-      load_calibration(reader, *m);
-      return m;
-    }
-    if (scheme == "MahalanobisThreshold") {
-      if (classes != 2)
-        throw ParseError("model: MahalanobisThreshold must be binary");
-      auto m = std::make_unique<MahalanobisThreshold>();
-      MahalanobisDetector& d = m->detector_;
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) d.mean_.push_back(dec(t));
-      }
-      const auto precision = read_matrix(reader, "precision");
-      if (precision.size() != d.mean_.size() || d.mean_.empty())
-        throw ParseError("model: MahalanobisThreshold shape mismatch");
-      d.precision_ = Matrix(precision.size(), precision.size());
-      for (std::size_t r = 0; r < precision.size(); ++r) {
-        if (precision[r].size() != d.mean_.size())
-          throw ParseError("model: MahalanobisThreshold precision not square");
-        for (std::size_t c = 0; c < precision[r].size(); ++c)
-          d.precision_(r, c) = precision[r][c];
-      }
-      load_calibration(reader, *m);
-      // The embedded detector thresholds at the same calibrated score.
-      d.threshold_ = m->threshold_;
-      return m;
-    }
-    if (scheme == "AdaBoostM1" || scheme == "Bagging") {
-      const bool boosted = scheme == "AdaBoostM1";
-      const std::size_t n_members = reader.expect_size("members");
-      if (n_members == 0) throw ParseError("model: empty committee");
-      std::vector<double> alphas;
-      if (boosted) alphas = read_vector(reader, "alphas", n_members);
-      std::vector<std::unique_ptr<Classifier>> members;
-      members.reserve(n_members);
-      for (std::size_t i = 0; i < n_members; ++i) {
-        const auto head = reader.expect("member");
-        if (head.size() != 1) throw ParseError("model: bad member header");
-        members.push_back(load(reader, head[0], classes));
-      }
-      // The factory is only needed to (re)train; a loaded committee is
-      // inference-only until train() is called with a fresh instance.
-      if (boosted) {
-        auto m = std::make_unique<AdaBoostM1>(BaseFactory{});
-        m->num_classes_ = classes;
-        m->members_ = std::move(members);
-        m->alphas_ = std::move(alphas);
-        return m;
-      }
-      auto m = std::make_unique<Bagging>(BaseFactory{});
-      m->num_classes_ = classes;
-      m->members_ = std::move(members);
-      return m;
-    }
-    throw ParseError("model: unsupported scheme '" + scheme + "'");
+    load_calibration(reader, m);
   }
 };
+
+namespace {
+
+/// One row per serializable scheme, keyed by the name the file header
+/// carries (Classifier::name() of the unwrapped model).
+struct SchemeIo {
+  const char* scheme;
+  void (*save)(std::ostream& out, const Classifier& clf);
+  std::unique_ptr<Classifier> (*load)(Reader& reader, std::size_t classes);
+};
+
+template <class M>
+void save_as(std::ostream& out, const Classifier& clf) {
+  ModelIo::save(out, unwrap_as<M>(clf));
+}
+
+template <class M>
+std::unique_ptr<Classifier> load_as(Reader& reader, std::size_t classes) {
+  std::unique_ptr<M> m;
+  if constexpr (std::is_default_constructible_v<M>) {
+    m = std::make_unique<M>();
+  } else {
+    // Committees: the factory is only needed to (re)train, so a loaded
+    // committee is inference-only until train() is called on a fresh one.
+    m = std::make_unique<M>(BaseFactory{});
+  }
+  ModelIo::load(reader, classes, *m);
+  return m;
+}
+
+template <class M>
+constexpr SchemeIo io(const char* scheme) {
+  return {scheme, &save_as<M>, &load_as<M>};
+}
+
+const SchemeIo kSchemeIo[] = {
+    io<ZeroR>("ZeroR"),
+    io<OneR>("OneR"),
+    io<DecisionStump>("DecisionStump"),
+    io<J48>("J48"),
+    io<JRip>("JRip"),
+    io<NaiveBayes>("NaiveBayes"),
+    io<Logistic>("MLR"),
+    io<LinearSvm>("SVM"),
+    io<Mlp>("MLP"),
+    io<Knn>("IBk"),
+    io<AdaBoostM1>("AdaBoostM1"),
+    io<Bagging>("Bagging"),
+    io<OneClassSvm>("OneClassSvm"),
+    io<KdeAnomaly>("KdeAnomaly"),
+    io<MahalanobisThreshold>("MahalanobisThreshold"),
+};
+
+const SchemeIo* find_io(const std::string& scheme) {
+  for (const SchemeIo& row : kSchemeIo)
+    if (scheme == row.scheme) return &row;
+  return nullptr;
+}
+
+bool save_body(std::ostream& out, const Classifier& clf) {
+  const SchemeIo* row = find_io(clf.unwrap().name());
+  if (row == nullptr) return false;
+  row->save(out, clf);
+  return true;
+}
+
+std::unique_ptr<Classifier> load_body(Reader& reader,
+                                      const std::string& scheme,
+                                      std::size_t classes) {
+  const SchemeIo* row = find_io(scheme);
+  if (row == nullptr)
+    throw ParseError("model: unsupported scheme '" + scheme + "'");
+  return row->load(reader, classes);
+}
+
+}  // namespace
 
 void save_model(std::ostream& out, const Classifier& clf) {
   HMD_REQUIRE(clf.num_classes() >= 2, "save_model: classifier not trained");
@@ -609,7 +633,7 @@ void save_model(std::ostream& out, const Classifier& clf) {
   out << "scheme " << clf.name() << '\n';
   out << "classes " << clf.num_classes() << '\n';
 
-  if (!ModelIo::save_body(out, clf))
+  if (!save_body(out, clf))
     throw PreconditionError("save_model: no serialization for " + clf.name());
 
   out << "end\n";
@@ -631,7 +655,7 @@ std::unique_ptr<Classifier> load_model_impl(std::istream& in) {
   if (classes < 2) throw ParseError("model: class count must be >= 2");
 
   std::unique_ptr<Classifier> model =
-      ModelIo::load(reader, scheme_tokens[0], classes);
+      load_body(reader, scheme_tokens[0], classes);
   reader.expect("end");
   return model;
 }

@@ -9,12 +9,16 @@
 //   ...scheme-specific sections...
 //   end
 //
-// Supported schemes: ZeroR, OneR, DecisionStump, J48, JRip, NaiveBayes,
-// MLR (Logistic), SVM, MLP, IBk, AdaBoostM1, Bagging, Mahalanobis, and
-// the one-class family (OneClassSvm, KdeAnomaly, MahalanobisThreshold —
-// the drift retrain loop round-trips these through deployment bundles).
+// Every registry scheme (ml::known_schemes()) is supported: ZeroR, OneR,
+// DecisionStump, J48, JRip, NaiveBayes, MLR (Logistic), SVM, MLP, IBk,
+// AdaBoostM1, Bagging, and the one-class family (OneClassSvm, KdeAnomaly,
+// MahalanobisThreshold — the drift retrain loop round-trips these through
+// deployment bundles). serialization.cpp keeps one save/load row per
+// scheme, keyed by the scheme name the header carries.
 // Round-trip is exact: a loaded model produces bit-identical predictions
-// (all parameters serialize via hex-encoded doubles).
+// (all parameters serialize via hex-encoded doubles). The loader rejects
+// shapes a model could not score: weight rows that do not match the
+// standardizer width, and class indices outside `classes`.
 #pragma once
 
 #include <iosfwd>
@@ -26,7 +30,8 @@
 namespace hmd::ml {
 
 /// Serialize a trained classifier. Throws hmd::PreconditionError for
-/// unsupported or untrained models.
+/// unsupported or untrained models, and for a classifier whose name()
+/// is a scheme its type does not implement.
 void save_model(std::ostream& out, const Classifier& clf);
 
 /// Reconstruct a classifier saved by save_model. Malformed input yields an

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "ml/naive_bayes.hpp"
 #include "ml/one_r.hpp"
 #include "ml/registry.hpp"
+#include "ml/serialization.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
 
@@ -26,14 +29,47 @@ namespace hmd::hw {
 namespace {
 
 TEST(Compile, SupportedSetAgreesWithTheRegistry) {
-  // hw::compile_supported and ml::rtl_schemes() are two views of the same
-  // contract; every scheme must land on the same side of both.
+  // hw::compile()'s lowering table and ml::rtl_schemes() are two views of
+  // the same contract; every scheme must land on the same side of both.
   const auto data = ml::testdata::separable_binary(60);
   for (const std::string& scheme : ml::known_schemes()) {
     auto clf = ml::make_classifier(scheme);
     clf->train(data);
-    EXPECT_EQ(compile_supported(*clf), ml::is_rtl_scheme(scheme)) << scheme;
+    CompileOptions opts;
+    opts.num_features = data.num_features();
+    EXPECT_EQ(try_compile(*clf, std::move(opts)).ok(),
+              ml::is_rtl_scheme(scheme))
+        << scheme;
   }
+}
+
+/// Forwards name() to a real scheme but not unwrap(): the object is not
+/// the type its name promises.
+class NameOnlyDecorator final : public ml::Classifier {
+ public:
+  explicit NameOnlyDecorator(std::unique_ptr<ml::Classifier> inner)
+      : inner_(std::move(inner)) {}
+  void train(const ml::DatasetView& data) override { inner_->train(data); }
+  std::size_t predict(std::span<const double> features) const override {
+    return inner_->predict(features);
+  }
+  std::string name() const override { return inner_->name(); }
+  std::size_t num_classes() const override { return inner_->num_classes(); }
+
+ private:
+  std::unique_ptr<ml::Classifier> inner_;
+};
+
+TEST(Compile, NameMatchingWrongTypeIsAPreconditionError) {
+  NameOnlyDecorator clf(ml::make_classifier("J48"));
+  clf.train(ml::testdata::separable_binary(60));
+  CompileOptions opts;
+  opts.num_features = 4;
+  const auto result = try_compile(clf, std::move(opts));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrCode::kPrecondition);
+  std::ostringstream out;
+  EXPECT_THROW(ml::save_model(out, clf), PreconditionError);
 }
 
 TEST(Compile, TryCompileNamesTheUnsupportedScheme) {

@@ -1,16 +1,17 @@
 // Tests for the extension modules: cross-validation, ensembles (AdaBoost,
-// Bagging), the Mahalanobis anomaly detector, and Matrix::inverse.
+// Bagging), the Mahalanobis-distance one-class detector, and
+// Matrix::inverse.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "ml/anomaly.hpp"
 #include "ml/cross_validation.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/evaluation.hpp"
 #include "ml/j48.hpp"
 #include "ml/matrix.hpp"
+#include "ml/one_class.hpp"
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
@@ -234,10 +235,12 @@ TEST(Bagging, RegistrySchemesWork) {
 }
 
 // ----------------------------------------------------------------- anomaly
+// MahalanobisThreshold specifics; the contract it shares with the rest of
+// the one-class family is swept in test_one_class.cpp (OneClassSweep).
 
-/// Benign cluster at origin; anomalies far away.
-Dataset anomaly_dataset(std::size_t n_benign, std::size_t n_malware,
-                        double distance, std::uint64_t seed) {
+/// Binary dataset holding only benign rows: a unit Gaussian cluster at
+/// the origin.
+Dataset benign_dataset(std::size_t n, std::uint64_t seed) {
   std::vector<Attribute> attrs;
   attrs.emplace_back("f0");
   attrs.emplace_back("f1");
@@ -245,59 +248,20 @@ Dataset anomaly_dataset(std::size_t n_benign, std::size_t n_malware,
   attrs.emplace_back("class", std::vector<std::string>{"benign", "malware"});
   Dataset d(std::move(attrs));
   Rng rng(seed);
-  for (std::size_t i = 0; i < n_benign; ++i)
+  for (std::size_t i = 0; i < n; ++i)
     d.add({{rng.normal(), rng.normal(), rng.normal(), 0.0}});
-  for (std::size_t i = 0; i < n_malware; ++i)
-    d.add({{rng.normal(distance, 1.0), rng.normal(distance, 1.0),
-            rng.normal(), 1.0}});
   return d;
 }
 
-TEST(Mahalanobis, ScoresAnomaliesHigher) {
-  const Dataset d = anomaly_dataset(300, 0, 0.0, 3);
-  std::vector<std::vector<double>> benign;
-  for (std::size_t i = 0; i < d.num_instances(); ++i) {
-    const auto x = d.features_of(i);
-    benign.emplace_back(x.begin(), x.end());
-  }
-  MahalanobisDetector det;
-  det.fit(benign);
-  EXPECT_LT(det.score(std::vector<double>{0, 0, 0}),
-            det.score(std::vector<double>{8, 8, 0}));
-}
-
 TEST(Mahalanobis, ThresholdCalibratedToPercentile) {
-  const Dataset d = anomaly_dataset(1000, 0, 0.0, 5);
-  std::vector<std::vector<double>> benign;
-  for (std::size_t i = 0; i < d.num_instances(); ++i) {
-    const auto x = d.features_of(i);
-    benign.emplace_back(x.begin(), x.end());
-  }
-  MahalanobisDetector det({.threshold_percentile = 95.0});
-  det.fit(benign);
+  const Dataset d = benign_dataset(1000, 5);
+  MahalanobisThreshold clf({.threshold_percentile = 95.0});
+  clf.train(d);
   int alarms = 0;
-  for (const auto& row : benign) alarms += det.is_anomalous(row);
+  for (std::size_t i = 0; i < d.num_instances(); ++i)
+    alarms += static_cast<int>(clf.predict(d.features_of(i)));
   // ~5% of training benign rows sit above the 95th percentile.
   EXPECT_NEAR(alarms, 50, 25);
-}
-
-TEST(Mahalanobis, DetectsDistantMalware) {
-  const Dataset d = anomaly_dataset(400, 100, 6.0, 7);
-  AnomalyClassifier clf;
-  clf.train(d);
-  const auto ev = evaluate(clf, d);
-  EXPECT_GT(ev.recall(1), 0.95);  // malware flagged
-  EXPECT_GT(ev.recall(0), 0.9);   // benign mostly clean
-}
-
-TEST(Mahalanobis, TrainsOnBenignOnly) {
-  // Moving the malware cluster must not change the fitted model.
-  const Dataset near = anomaly_dataset(300, 50, 4.0, 9);
-  const Dataset far = anomaly_dataset(300, 50, 40.0, 9);
-  AnomalyClassifier a, b;
-  a.train(near);
-  b.train(far);
-  EXPECT_DOUBLE_EQ(a.detector().threshold(), b.detector().threshold());
 }
 
 TEST(Mahalanobis, HandlesCorrelatedFeatures) {
@@ -313,17 +277,9 @@ TEST(Mahalanobis, HandlesCorrelatedFeatures) {
     const double v = rng.normal();
     d.add({{v, v + rng.normal(0.0, 1e-6), 0.0}});
   }
-  AnomalyClassifier clf;
+  MahalanobisThreshold clf;
   clf.train(d);
-  EXPECT_TRUE(std::isfinite(
-      clf.detector().score(std::vector<double>{1.0, 1.0})));
-}
-
-TEST(Mahalanobis, RequiresBinaryDatasetAndBenignRows) {
-  AnomalyClassifier clf;
-  EXPECT_THROW(clf.train(three_class()), PreconditionError);
-  const Dataset no_benign = anomaly_dataset(2, 50, 5.0, 13);
-  EXPECT_THROW(clf.train(no_benign), PreconditionError);
+  EXPECT_TRUE(std::isfinite(clf.anomaly_score(std::vector<double>{1.0, 1.0})));
 }
 
 }  // namespace

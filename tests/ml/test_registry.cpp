@@ -14,9 +14,9 @@
 namespace hmd::ml {
 namespace {
 
-TEST(Registry, KnownSchemesListsSixteenCanonicalNames) {
+TEST(Registry, KnownSchemesListsFifteenCanonicalNames) {
   const auto schemes = known_schemes();
-  EXPECT_EQ(schemes.size(), 16u);
+  EXPECT_EQ(schemes.size(), 15u);
   // No duplicates, no aliases.
   auto sorted = schemes;
   std::sort(sorted.begin(), sorted.end());
@@ -86,10 +86,8 @@ TEST(Registry, UnknownSchemeErrorEnumeratesExactlyTheRegistry) {
 }
 
 TEST(Registry, OneClassSchemesAreFlaggedAndConstructible) {
-  // Mahalanobis (the thesis anomaly detector) is benign-only too, so it
-  // rides the same flag as the dedicated one-class family.
-  const std::vector<std::string> expected = {
-      "Mahalanobis", "OneClassSvm", "KdeAnomaly", "MahalanobisThreshold"};
+  const std::vector<std::string> expected = {"OneClassSvm", "KdeAnomaly",
+                                             "MahalanobisThreshold"};
   EXPECT_EQ(one_class_schemes(), expected);
   for (const auto& name : expected) {
     EXPECT_TRUE(is_one_class_scheme(name)) << name;
@@ -113,9 +111,9 @@ TEST(Registry, StudyListsAreSubsetsOfKnownSchemes) {
 }
 
 TEST(Registry, EverySchemeReportsThroughEvaluationReport) {
-  // The unified evaluation artifact must work for all 13 schemes, not just
-  // the study subsets (Mahalanobis trains on the benign class only, the
-  // ensembles resample — evaluate() must not care).
+  // The unified evaluation artifact must work for every scheme, not just
+  // the study subsets (the one-class family trains on the benign class
+  // only, the ensembles resample — evaluate() must not care).
   const Dataset d = testdata::separable_binary(60);
   for (const auto& name : known_schemes()) {
     auto clf = make_classifier(name);

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
 
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hmd::ml {
 namespace {
@@ -49,25 +52,55 @@ TEST_P(RoundTripSweep, MulticlassPredictionsIdentical) {
 }
 
 // Every scheme the registry can construct must round-trip through the
-// model format — registry.hpp is the source of truth for this list.
+// model format.
 INSTANTIATE_TEST_SUITE_P(Schemes, RoundTripSweep,
-                         ::testing::Values("ZeroR", "OneR", "DecisionStump",
-                                           "J48", "JRip", "NaiveBayes",
-                                           "MLR", "SVM", "MLP", "IBk",
-                                           "AdaBoostM1", "Bagging",
-                                           "Mahalanobis", "OneClassSvm",
-                                           "KdeAnomaly",
-                                           "MahalanobisThreshold"));
+                         ::testing::ValuesIn(known_schemes()));
 
-// The sweep list above must track the registry exactly — a new scheme that
-// is registered but left out of the sweep silently loses round-trip
-// coverage. Compare against known_schemes() so that drift fails loudly.
-TEST(Serialization, RoundTripSweepCoversEveryRegisteredScheme) {
-  const std::vector<std::string> sweep = {
-      "ZeroR", "OneR", "DecisionStump", "J48", "JRip", "NaiveBayes",
-      "MLR", "SVM", "MLP", "IBk", "AdaBoostM1", "Bagging",
-      "Mahalanobis", "OneClassSvm", "KdeAnomaly", "MahalanobisThreshold"};
-  EXPECT_EQ(sweep, known_schemes());
+/// 64-bit FNV-1a over the bytes of a saved model.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pins the model format byte-for-byte: every registry scheme trained on a
+// fixed fixture must save to exactly the same text. A format change (or a
+// numeric drift in any fit) moves one of these constants.
+TEST(Serialization, GoldenFingerprintPerScheme) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"ZeroR", 0xb999eb6dc64d0ebbull},
+      {"OneR", 0x273d8d0a4a68c8d8ull},
+      {"DecisionStump", 0xc51768ec50c1b3b8ull},
+      {"J48", 0xe84a6f82fc8bb84cull},
+      {"JRip", 0x35a2157440802f4dull},
+      {"NaiveBayes", 0xf4a26854f539df82ull},
+      {"MLR", 0x7b8aa3dee074d79bull},
+      {"SVM", 0x60f55e3cb216611cull},
+      {"MLP", 0x56615620385b18e4ull},
+      {"IBk", 0x02a24f541d46bad2ull},
+      {"AdaBoostM1", 0x82239e3f072afca3ull},
+      {"Bagging", 0x175957264c048d3cull},
+      {"OneClassSvm", 0x22da86d9225f4350ull},
+      {"KdeAnomaly", 0xe33846481670fe8cull},
+      {"MahalanobisThreshold", 0x5f58d481d0c3b7a6ull},
+  };
+  const Dataset d = overlapping_binary(120);
+  EXPECT_EQ(golden.size(), known_schemes().size());
+  for (const std::string& scheme : known_schemes()) {
+    auto clf = make_classifier(scheme);
+    clf->train(d);
+    std::ostringstream out;
+    save_model(out, *clf);
+    const std::uint64_t got = fnv1a(out.str());
+    const auto it = golden.find(scheme);
+    ASSERT_NE(it, golden.end()) << scheme << " has no golden fingerprint";
+    EXPECT_EQ(got, it->second)
+        << scheme << ": 0x" << format("%016llx",
+                                      static_cast<unsigned long long>(got));
+  }
 }
 
 TEST(Serialization, DistributionsAlsoRoundTrip) {
@@ -138,6 +171,89 @@ TEST(Serialization, RejectsTruncatedInput) {
 TEST(Serialization, RejectsUnknownScheme) {
   std::istringstream in("hmd-model v1\nscheme Quantum\nclasses 2\nend\n");
   EXPECT_THROW((void)load_model(in), ParseError);
+}
+
+TEST(Serialization, RetiredMahalanobisSchemeIsUnsupported) {
+  // MahalanobisThreshold replaced the one-hot Mahalanobis scheme; its old
+  // files fail through the unknown-scheme path.
+  std::istringstream in(
+      "hmd-model v1\nscheme Mahalanobis\nclasses 2\nmean 0x0p+0\n"
+      "precision 1 1\nrow 0x1p+0\nthreshold 0x1p+0\nend\n");
+  const auto result = try_load_model(in);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrCode::kParse);
+  EXPECT_NE(result.error().message().find("unsupported scheme 'Mahalanobis'"),
+            std::string::npos)
+      << result.error().message();
+}
+
+// Files whose shapes would make a loaded model read out of bounds when it
+// scores: each must fail at load with a kParse error naming the field.
+TEST(Serialization, RejectsShapesThatCannotBeScored) {
+  const std::string kStd4 =
+      "standardizer_mean 0x0p+0 0x0p+0 0x0p+0 0x0p+0\n"
+      "standardizer_sd 0x1p+0 0x1p+0 0x1p+0 0x1p+0\n";
+  struct Case {
+    const char* what;
+    std::string body;  ///< everything between the header and "end"
+    const char* field;
+  };
+  const std::vector<Case> cases = {
+      {"MLR weight rows narrower than the standardizer",
+       "scheme MLR\nclasses 2\n" + kStd4 +
+           "weights 2 1\nrow 0x1p+0\nrow 0x1p+0\n",
+       "'weights'"},
+      {"SVM weight rows wider than the standardizer",
+       "scheme SVM\nclasses 2\n" + kStd4 +
+           "weights 2 6\nrow 0 0 0 0 0 0\nrow 0 0 0 0 0 0\n",
+       "'weights'"},
+      {"MLP w1 rows narrower than the standardizer",
+       "scheme MLP\nclasses 2\n" + kStd4 +
+           "w1 1 2\nrow 0 0\nw2 2 2\nrow 0 0\nrow 0 0\n",
+       "'w1'"},
+      {"MLP w2 rows not hidden units + 1",
+       "scheme MLP\nclasses 2\n" + kStd4 +
+           "w1 1 5\nrow 0 0 0 0 0\nw2 2 1\nrow 0\nrow 0\n",
+       "'w2'"},
+      {"NaiveBayes means and variances of different widths",
+       "scheme NaiveBayes\nclasses 2\npriors 0x1p-1 0x1p-1\n"
+       "means 2 3\nrow 0 0 0\nrow 0 0 0\n"
+       "variances 2 2\nrow 0x1p+0 0x1p+0\nrow 0x1p+0 0x1p+0\n",
+       "'variances'"},
+      {"ZeroR majority class out of range",
+       "scheme ZeroR\nclasses 2\nmajority 2\npriors 0x1p-1 0x1p-1\n",
+       "'majority'"},
+      {"OneR interval class out of range",
+       "scheme OneR\nclasses 2\nfeature 0\ntraining_error 0\n"
+       "intervals 1\ninterval inf 5\n",
+       "'interval'"},
+      {"DecisionStump branch class out of range",
+       "scheme DecisionStump\nclasses 2\nsplit 0 0x0p+0 0 3\n", "'split'"},
+      {"J48 leaf class out of range", "scheme J48\nclasses 2\nleaf 7 1 0\n",
+       "'leaf'"},
+      {"JRip default class out of range",
+       "scheme JRip\nclasses 2\ndefault 2\nrules 0\n", "'default'"},
+      {"JRip rule class out of range",
+       "scheme JRip\nclasses 2\ndefault 0\nrules 1\nrule 9 0\n",
+       "'rule'"},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in("hmd-model v1\n" + c.body + "end\n");
+    const auto result = try_load_model(in);
+    ASSERT_FALSE(result.ok()) << c.what;
+    EXPECT_EQ(result.error().code(), ErrCode::kParse) << c.what;
+    EXPECT_NE(result.error().message().find(c.field), std::string::npos)
+        << c.what << ": " << result.error().message();
+  }
+}
+
+TEST(Serialization, LoadedJRipRejectsAConditionBeyondTheWindow) {
+  std::istringstream in(
+      "hmd-model v1\nscheme JRip\nclasses 2\ndefault 0\nrules 1\n"
+      "rule 1 1\ncond 1000000 1 0x0p+0\nend\n");
+  const auto model = load_model(in);
+  const std::vector<double> window(16, 1.0);
+  EXPECT_THROW((void)model->predict(window), PreconditionError);
 }
 
 TEST(Serialization, RejectsCorruptedNumbers) {

@@ -182,6 +182,22 @@ TEST(JRip, RuleConjunctionSemantics) {
   EXPECT_FALSE(rule.matches(std::vector<double>{2.0, 4.0}));
 }
 
+TEST(JRip, ConditionBeyondTheWindowThrows) {
+  // J48, OneR and DecisionStump check the window width; so must JRip.
+  const JRip::Condition far{.feature = 3, .greater = true, .threshold = 0.0};
+  EXPECT_THROW((void)far.matches(std::vector<double>{1.0, 2.0}),
+               PreconditionError);
+
+  JRip rip;
+  rip.train(blobs(2, 16, 80, 4.0, 1.0, 21));
+  ASSERT_FALSE(rip.rules().empty());
+  ASSERT_FALSE(rip.rules().front().conditions.empty());
+  // Narrow enough that the first condition evaluated is out of range.
+  const std::vector<double> narrow(
+      rip.rules().front().conditions.front().feature, 0.0);
+  EXPECT_THROW((void)rip.predict(narrow), PreconditionError);
+}
+
 TEST(JRip, PredictBeforeTrainThrows) {
   JRip rip;
   EXPECT_THROW((void)rip.predict(std::vector<double>{1.0}),
