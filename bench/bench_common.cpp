@@ -17,6 +17,11 @@ namespace hmd::bench {
 
 namespace {
 
+/// Cache file format, part of the file name so that a cache written in an
+/// older format is rebuilt rather than reused. v2: numeric cells carry 17
+/// significant digits and reload bit-exactly (v1 rounded them to 6).
+constexpr const char* kCacheFormat = "v2";
+
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -61,8 +66,8 @@ const ml::Dataset& multiclass_dataset() {
   static const ml::Dataset data = [] {
     const core::PipelineConfig cfg = bench_config();
     std::filesystem::create_directories("hmd_bench_cache");
-    const std::string path =
-        "hmd_bench_cache/" + cfg.cache_key() + ".csv";
+    const std::string path = "hmd_bench_cache/" + cfg.cache_key() + "." +
+                             kCacheFormat + ".csv";
     core::DatasetBuilder builder(cfg);
     if (!std::filesystem::exists(path))
       std::fprintf(stderr,

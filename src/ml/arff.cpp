@@ -197,7 +197,7 @@ void write_dataset_csv(std::ostream& out, const Dataset& data) {
       if (attr.is_nominal())
         row.push_back(attr.values()[static_cast<std::size_t>(inst.values[a])]);
       else
-        row.push_back(format("%.6g", inst.values[a]));
+        row.push_back(format("%.17g", inst.values[a]));  // exact round trip
     }
     writer.write_row(row);
   }

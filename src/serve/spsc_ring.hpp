@@ -16,6 +16,11 @@
 //  * accidental extra producers degrade into lock-free contention instead
 //    of silent corruption.
 //
+// A push either copies a value in (try_push) or writes the claimed slot in
+// place (try_push_with), so a producer filling a large element builds it
+// straight in the ring instead of in a stack temporary; try_push is a
+// one-line wrapper over try_push_with, keeping one push path.
+//
 // No operation blocks, allocates, or takes a lock after construction.
 #pragma once
 
@@ -29,7 +34,8 @@
 namespace hmd::serve {
 
 /// Fixed-capacity lock-free FIFO. Capacity is rounded up to a power of
-/// two (minimum 2). Elements are copied in and out; T must be copyable.
+/// two (minimum 2). Elements are copied (or filled in place) in and copied
+/// out; T must be copyable.
 template <typename T>
 class SpscRing {
  public:
@@ -52,6 +58,14 @@ class SpscRing {
 
   /// Enqueue a copy of `v`. Returns false when the ring is full.
   bool try_push(const T& v) noexcept {
+    return try_push_with([&v](T& slot) noexcept { slot = v; });
+  }
+
+  /// Enqueue by writing the claimed slot in place: `fill(T&)` runs once,
+  /// only when a slot was claimed, and must not throw. Returns false (and
+  /// never calls `fill`) when the ring is full.
+  template <typename Fill>
+  bool try_push_with(Fill&& fill) noexcept {
     std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     for (;;) {
       Slot& slot = slots_[pos & mask_];
@@ -61,7 +75,7 @@ class SpscRing {
       if (dif == 0) {
         if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
                                                std::memory_order_relaxed)) {
-          slot.value = v;
+          fill(slot.value);
           slot.seq.store(pos + 1, std::memory_order_release);
           return true;
         }

@@ -33,6 +33,16 @@ struct WindowSample {
   std::array<double, kMaxWindowWidth> counts{};
 };
 
+/// The e2e latency sample rate: window j of a stream (j = the stream's
+/// accepted count before it) carries an ingest timestamp iff
+/// (j + stream id) % kE2eSampleEvery == 0. A clock read per window would
+/// cost about as much as the rest of ingest together; the id offset
+/// spreads one tick's stamps across its streams.
+constexpr std::uint64_t kE2eSampleEvery = 64;
+
+/// WindowSample::ingest_us of a window that carries no timestamp.
+constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
+
 /// How long a shard worker sleeps when parked with nothing to do. Bounds
 /// the staleness of any lost wakeup race to one timeout.
 constexpr auto kParkTimeout = std::chrono::microseconds(200);
@@ -147,9 +157,21 @@ struct StreamEngine::Stream {
   core::OnlineDetector monitor;
   std::vector<Verdict> verdict_log;        ///< only when record_verdicts
   std::vector<std::uint64_t> version_log;  ///< parallel to verdict_log
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> evicted{0};
-  std::atomic<std::uint64_t> high_water{0};  ///< peak pending ring depth
+  /// Peak pending ring depth: raised by the worker as it starts draining
+  /// the stream, set to the ring capacity by an eviction.
+  std::atomic<std::uint64_t> high_water{0};
+
+  /// The worker's high-water update, made right after it pops the first
+  /// window of this stream in a gather: the pending depth then was that
+  /// window plus what is still queued behind it.
+  void raise_high_water() {
+    const auto depth = static_cast<std::uint64_t>(
+        std::min(ring.capacity(), ring.size_approx() + 1));
+    std::uint64_t seen = high_water.load(std::memory_order_relaxed);
+    while (depth > seen && !high_water.compare_exchange_weak(
+                               seen, depth, std::memory_order_relaxed)) {
+    }
+  }
 
   // Benign window log for drift retraining (drift.retrain only): a flat
   // row-major ring of the last window_log_capacity UNFLAGGED windows.
@@ -158,6 +180,11 @@ struct StreamEngine::Stream {
   std::vector<double> window_log;
   std::size_t window_log_next = 0;      ///< next ring slot to overwrite
   std::uint64_t window_log_total = 0;   ///< lifetime rows appended
+
+  // Written by the stream's feeder on every ingest: a cache line of their
+  // own, away from the monitor and logs the worker writes per window.
+  alignas(64) std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> evicted{0};
 };
 
 /// Per-shard worker state. `produced`/`consumed` converge once producers
@@ -175,8 +202,10 @@ struct StreamEngine::Shard {
   std::vector<Stream*> registered;
   std::atomic<std::uint64_t> generation{0};
 
-  std::atomic<std::uint64_t> produced{0};
-  std::atomic<std::uint64_t> consumed{0};
+  // `produced` is written on every ingest, so it gets a cache line of its
+  // own: `generation` is read and `consumed` written by the worker.
+  alignas(64) std::atomic<std::uint64_t> produced{0};
+  alignas(64) std::atomic<std::uint64_t> consumed{0};
 
   // Parking: the worker naps when every ring is empty; ingest rings the
   // doorbell only when `parked` is set, keeping the hot path wait-free.
@@ -485,19 +514,32 @@ bool StreamEngine::ingest(StreamHandle stream,
   HMD_REQUIRE(window.size() == config_.window_size,
               "StreamEngine::ingest: window width != config window_size");
 
-  WindowSample sample;
-  sample.ingest_us = Tracer::now_us();
-  std::copy(window.begin(), window.end(), sample.counts.begin());
+  // `accepted` has one writer, this stream's (serialized) feeder.
+  const std::uint64_t ordinal =
+      stream->accepted.load(std::memory_order_relaxed);
+  const std::uint64_t ingest_us =
+      (ordinal + stream->id) % kE2eSampleEvery == 0 ? Tracer::now_us()
+                                                    : kUnstamped;
+  const auto fill = [&](WindowSample& slot) noexcept {
+    slot.ingest_us = ingest_us;
+    std::copy(window.begin(), window.end(), slot.counts.begin());
+  };
 
   Shard& shard = *shards_[stream->shard];
   bool dropped_one = false;
-  while (!stream->ring.try_push(sample)) {
+  while (!stream->ring.try_push_with(fill)) {
     if (config_.backpressure == ServeConfig::Backpressure::kDropOldest) {
       if (stream->ring.pop_discard()) {
         dropped_one = true;
         stream->evicted.fetch_add(1, std::memory_order_relaxed);
+        stream->high_water.store(stream->ring.capacity(),
+                                 std::memory_order_relaxed);
         shard.dropped->add();
         shard.agg_dropped->add();
+        // The worker counts the windows it gathers; an evicted window is
+        // never gathered, so it is counted here.
+        shard.ingest_total->add();
+        shard.agg_ingest_total->add();
         // The evicted window was counted into `produced`; account it as
         // consumed so drain() still converges.
         shard.consumed.fetch_add(1, std::memory_order_relaxed);
@@ -511,16 +553,7 @@ bool StreamEngine::ingest(StreamHandle stream,
     }
   }
   stream->accepted.fetch_add(1, std::memory_order_relaxed);
-  // Ring high-water mark (capacity planning; persisted in snapshots).
-  const auto depth =
-      static_cast<std::uint64_t>(stream->ring.size_approx());
-  std::uint64_t seen = stream->high_water.load(std::memory_order_relaxed);
-  while (depth > seen && !stream->high_water.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
   shard.produced.fetch_add(1, std::memory_order_relaxed);
-  shard.ingest_total->add();
-  shard.agg_ingest_total->add();
   if (shard.parked.load(std::memory_order_seq_cst)) unpark(shard);
   return !dropped_one;
 }
@@ -779,11 +812,13 @@ bool StreamEngine::score_batch(Shard& shard, Batch& batch) {
           ++stream.window_log_total;
         }
       }
-      const std::uint64_t e2e =
-          now >= batch.items[w].ingest_us ? now - batch.items[w].ingest_us
-                                          : 0;
-      shard.e2e_us->record(static_cast<double>(e2e));
-      shard.agg_e2e_us->record(static_cast<double>(e2e));
+      const std::uint64_t ingest_us = batch.items[w].ingest_us;
+      if (ingest_us != kUnstamped) {
+        const double e2e =
+            now >= ingest_us ? static_cast<double>(now - ingest_us) : 0.0;
+        shard.e2e_us->record(e2e);
+        shard.agg_e2e_us->record(e2e);
+      }
     }
     if (shard.drift != nullptr) {
       drift_ins_->scores.add(n);
@@ -834,8 +869,10 @@ void StreamEngine::worker_loop(Shard& shard) {
     batch.flat.clear();
     WindowSample sample;
     for (Stream* stream : snapshot) {
+      const std::size_t first = batch.items.size();
       while (batch.items.size() < config_.max_batch_windows &&
              stream->ring.try_pop(sample)) {
+        if (batch.items.size() == first) stream->raise_high_water();
         batch.items.push_back({stream, sample.ingest_us});
         batch.flat.insert(
             batch.flat.end(), sample.counts.begin(),
@@ -845,11 +882,23 @@ void StreamEngine::worker_loop(Shard& shard) {
     }
 
     if (!batch.items.empty()) {
-      std::size_t backlog = 0;
-      for (Stream* stream : snapshot) backlog += stream->ring.size_approx();
-      shard.queue_depth->set(static_cast<double>(backlog));
-
       const std::size_t n = batch.items.size();
+      // Backlog left behind this batch, from the counters. The feeder
+      // bumps `produced` after its push, so the difference can lag low
+      // (clamped at 0) but never reads high once traffic stops.
+      const auto backlog =
+          static_cast<std::int64_t>(
+              shard.produced.load(std::memory_order_relaxed)) -
+          static_cast<std::int64_t>(
+              shard.consumed.load(std::memory_order_relaxed)) -
+          static_cast<std::int64_t>(n);
+      shard.queue_depth->set(
+          static_cast<double>(std::max<std::int64_t>(backlog, 0)));
+
+      // Counted as gathered, not as pushed, to keep the counter off the
+      // feeder; the release below publishes it to drain().
+      shard.ingest_total->add(n);
+      shard.agg_ingest_total->add(n);
       // In the failed state windows are still drained (and discarded) so
       // drain() terminates and surfaces the stored error.
       if (!failed_.load(std::memory_order_relaxed))

@@ -35,13 +35,22 @@
 // (ServeConfig::restore_from), safely while ingest is live.
 //
 // Observability (process metrics registry; see docs/serving.md):
-//   serve.ingest_total[.shard<k>]    counter   windows accepted
+//   serve.ingest_total[.shard<k>]    counter   windows accepted (counted by
+//                                              the worker per gathered
+//                                              batch, plus evictions;
+//                                              exact after drain())
 //   serve.dropped[.shard<k>]         counter   windows dropped (kDropOldest)
 //   serve.batches.shard<k>           counter   batches scored
 //   serve.batch_size[.shard<k>]      histogram windows per batch
 //   serve.queue_depth.shard<k>       gauge     windows pending after gather
+//                                              (produced − consumed − batch)
 //   serve.score_us[.shard<k>]        histogram batch score wall time
-//   serve.e2e_latency_us[.shard<k>]  histogram ingest → verdict latency
+//   serve.e2e_latency_us[.shard<k>]  histogram ingest → verdict latency of
+//                                              window j of a stream iff
+//                                              (j + stream id) % 64 == 0
+// Ingest itself is one ring push plus the stream's accepted count: no
+// clock read (bar the 1-in-64 stamp) and no write to a line the worker
+// owns; the rest of the bookkeeping above is the worker's.
 // plus the serve.resilience.* family (docs/resilience.md):
 //   retries, score_failures, fallback_batches, degrade_events, recoveries,
 //   budget_overruns, swaps_observed, errors_swallowed, checkpoints,
@@ -286,7 +295,9 @@ class StreamEngine {
   std::uint64_t dropped(StreamHandle stream) const;
   /// Windows this stream accepted (including later-dropped ones).
   std::uint64_t ingested(StreamHandle stream) const;
-  /// Peak pending depth this stream's ring ever reached.
+  /// Peak pending depth: the deepest backlog the worker found when it
+  /// started draining this stream, or the ring capacity once a window
+  /// was evicted.
   std::uint64_t high_water(StreamHandle stream) const;
   /// Windows accepted across all streams.
   std::uint64_t total_ingested() const;

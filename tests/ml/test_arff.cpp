@@ -175,8 +175,13 @@ TEST(CsvBridge, RoundTripThroughCsv) {
   const CsvTable table = read_csv(in);
   const Dataset r = dataset_from_csv(table, {"c0", "c1"});
   ASSERT_EQ(r.num_instances(), d.num_instances());
-  for (std::size_t i = 0; i < d.num_instances(); ++i)
+  ASSERT_EQ(r.num_features(), d.num_features());
+  for (std::size_t i = 0; i < d.num_instances(); ++i) {
     EXPECT_EQ(r.class_of(i), d.class_of(i));
+    for (std::size_t f = 0; f < d.num_features(); ++f)
+      EXPECT_EQ(r.features_of(i)[f], d.features_of(i)[f])
+          << "row " << i << " feature " << f;
+  }
 }
 
 TEST(CsvBridge, BadNumericCellThrows) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -58,6 +60,55 @@ class FailingModel final : public StubModel {
     throw Error("FailingModel: scoring exploded");
   }
 };
+
+/// Stub whose batch scoring waits until open() — holds a shard worker
+/// mid-batch so a test can queue windows behind it.
+class GatedModel final : public StubModel {
+ public:
+  void distribution_batch(std::span<const double> flat,
+                          std::size_t window_size,
+                          std::span<double> out) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    StubModel::distribution_batch(flat, window_size, out);
+  }
+  /// Block until some worker is held inside distribution_batch.
+  void await_entered() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return entered_ > 0; });
+  }
+  /// Release every held worker; later batches pass straight through.
+  void open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable std::size_t entered_ = 0;
+  bool open_ = false;
+};
+
+/// The e2e sampling rule: how many of a stream's windows with ordinals
+/// [first, first + count) carry a latency stamp.
+std::uint64_t expected_stamps(std::uint64_t id, std::uint64_t first,
+                              std::uint64_t count) {
+  std::uint64_t stamps = 0;
+  for (std::uint64_t j = first; j < first + count; ++j)
+    if ((j + id) % 64 == 0) ++stamps;
+  return stamps;
+}
+
+const Histogram& e2e_histogram(const std::string& suffix = "") {
+  return metrics().histogram("serve.e2e_latency_us" + suffix,
+                             default_latency_buckets_us());
+}
 
 /// Deterministic per-stream window generator: values in [0, 1) with
 /// occasional hot streaks so alarms actually fire.
@@ -388,15 +439,181 @@ TEST(StreamEngine, MetricsAccountForEveryWindow) {
                      .counter("serve.ingest_total.shard" + std::to_string(k))
                      .value();
   EXPECT_EQ(per_shard, total);
-  EXPECT_EQ(metrics()
-                .histogram("serve.e2e_latency_us",
-                           default_latency_buckets_us())
-                .count(),
-            total);
+  // Exactly the windows the 1-in-64 sampling rule stamps, no more.
+  std::uint64_t stamped = 0;
+  for (std::uint64_t s = 0; s < 6; ++s)
+    stamped += expected_stamps(s, 0, kWindows);
+  EXPECT_EQ(e2e_histogram().count(), stamped);
   EXPECT_GT(metrics()
                 .histogram("serve.batch_size", default_count_buckets())
                 .count(),
             0u);
+  engine.shutdown();
+  metrics().reset();
+}
+
+TEST(StreamEngine, E2eLatencySamplesOneWindowIn64PerStream) {
+  metrics().reset();
+  StubModel model;
+  ServeConfig config;
+  config.window_size = 1;
+  config.num_shards = 2;
+  const auto started = std::chrono::steady_clock::now();
+  StreamEngine engine(model, config);
+  // Stream 5 is stamped at ordinals 59, 123 and 187.
+  auto* stream = engine.register_stream(5);
+  constexpr std::uint64_t kWindows = 200;
+  for (std::uint64_t w = 0; w < kWindows; ++w)
+    engine.ingest(stream, std::vector<double>{0.2});
+  engine.drain();
+  const double wall_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+
+  ASSERT_EQ(expected_stamps(5, 0, kWindows), 3u);
+  const Histogram& all = e2e_histogram();
+  EXPECT_EQ(all.count(), 3u);
+  EXPECT_EQ(e2e_histogram(".shard" + std::to_string(engine.shard_of(5)))
+                .count(),
+            3u);
+  // Every recorded latency is a real one: within the test's wall time.
+  EXPECT_GE(all.min(), 0.0);
+  EXPECT_LE(all.max(), wall_us);
+  engine.shutdown();
+  metrics().reset();
+}
+
+TEST(StreamEngine, E2eSamplingResumesFromRestoredAcceptedCount) {
+  metrics().reset();
+  StubModel model;
+  ServeConfig config;
+  config.window_size = 1;
+  std::stringstream buffer;
+  {
+    StreamEngine engine(model, config);
+    auto* stream = engine.register_stream(5);
+    for (int w = 0; w < 100; ++w)
+      engine.ingest(stream, std::vector<double>{0.2});
+    engine.drain();
+    EXPECT_EQ(e2e_histogram().count(), expected_stamps(5, 0, 100));
+    engine.checkpoint(buffer);
+  }
+  metrics().reset();
+
+  // The restored stream continues at ordinal 100: stamps at 123 and 187.
+  // Restarting from ordinal 0 would stamp only ordinal 59.
+  ServeConfig restored = config;
+  restored.restore_from = std::make_shared<const EngineSnapshot>(
+      EngineSnapshot::read_or_throw(buffer));
+  StreamEngine engine(model, restored);
+  auto* stream = engine.register_stream(5);
+  ASSERT_EQ(engine.ingested(stream), 100u);
+  for (int w = 0; w < 100; ++w)
+    engine.ingest(stream, std::vector<double>{0.2});
+  engine.drain();
+  ASSERT_EQ(expected_stamps(5, 100, 100), 2u);
+  ASSERT_NE(expected_stamps(5, 0, 100), 2u);
+  EXPECT_EQ(e2e_histogram().count(), 2u);
+  engine.shutdown();
+  metrics().reset();
+}
+
+TEST(StreamEngine, CountersBalanceAfterDrainUnderBothPolicies) {
+  for (const auto policy : {ServeConfig::Backpressure::kBlock,
+                            ServeConfig::Backpressure::kDropOldest}) {
+    const bool drop = policy == ServeConfig::Backpressure::kDropOldest;
+    const std::string label = drop ? "drop-oldest" : "block";
+    metrics().reset();
+    GatedModel model;
+    ServeConfig config;
+    config.window_size = 1;
+    config.num_shards = 2;
+    config.ring_capacity = 8;
+    config.backpressure = policy;
+    StreamEngine engine(model, config);
+    std::vector<StreamEngine::StreamHandle> handles;
+    for (std::uint64_t s = 0; s < 5; ++s)
+      handles.push_back(engine.register_stream(s));
+    if (drop) {
+      // Hold a worker mid-batch so the rings below overflow and evict.
+      engine.ingest(handles[0], std::vector<double>{0.1});
+      model.await_entered();
+    } else {
+      model.open();
+    }
+    for (int w = 0; w < 40; ++w)
+      for (auto* h : handles) engine.ingest(h, std::vector<double>{0.1});
+    model.open();
+    engine.drain();
+
+    // Once drained, the engine-wide instruments balance the per-stream
+    // counts.
+    std::uint64_t accepted = 0;
+    std::uint64_t evicted = 0;
+    for (auto* h : handles) {
+      accepted += engine.ingested(h);
+      evicted += engine.dropped(h);
+    }
+    if (drop)
+      EXPECT_GT(evicted, 0u);
+    else
+      EXPECT_EQ(evicted, 0u);
+    EXPECT_EQ(metrics().counter("serve.ingest_total").value(), accepted)
+        << label;
+    EXPECT_EQ(metrics().counter("serve.dropped").value(), evicted) << label;
+    std::uint64_t per_shard = 0;
+    for (std::size_t k = 0; k < engine.num_shards(); ++k) {
+      const std::string suffix = ".shard" + std::to_string(k);
+      per_shard += metrics().counter("serve.ingest_total" + suffix).value();
+      EXPECT_EQ(metrics().gauge("serve.queue_depth" + suffix).value(), 0.0)
+          << label << suffix;
+    }
+    EXPECT_EQ(per_shard, accepted) << label;
+    engine.shutdown();
+  }
+  metrics().reset();
+}
+
+TEST(StreamEngine, HighWaterIsTheDepthTheWorkerFinds) {
+  GatedModel model;
+  ServeConfig config;
+  config.window_size = 1;
+  config.ring_capacity = 16;
+  StreamEngine engine(model, config);
+  auto* stream = engine.register_stream(9);
+  engine.ingest(stream, std::vector<double>{0.1});
+  model.await_entered();
+  // The worker is held on the first window; k more queue behind it.
+  constexpr std::uint64_t kQueued = 11;
+  for (std::uint64_t w = 0; w < kQueued; ++w)
+    engine.ingest(stream, std::vector<double>{0.1});
+  model.open();
+  engine.drain();
+  EXPECT_EQ(engine.high_water(stream), kQueued);
+  EXPECT_EQ(engine.dropped(stream), 0u);
+  engine.shutdown();
+  metrics().reset();
+}
+
+TEST(StreamEngine, EvictionSetsHighWaterToRingCapacity) {
+  GatedModel model;
+  ServeConfig config;
+  config.window_size = 1;
+  config.ring_capacity = 8;
+  config.backpressure = ServeConfig::Backpressure::kDropOldest;
+  StreamEngine engine(model, config);
+  auto* stream = engine.register_stream(9);
+  engine.ingest(stream, std::vector<double>{0.1});
+  model.await_entered();
+  // The held worker has the first window; 8 fill the ring, 3 evict.
+  for (int w = 0; w < 11; ++w)
+    engine.ingest(stream, std::vector<double>{0.1});
+  EXPECT_EQ(engine.dropped(stream), 3u);
+  EXPECT_EQ(engine.high_water(stream), 8u);
+  model.open();
+  engine.drain();
+  EXPECT_EQ(engine.high_water(stream), 8u);
+  EXPECT_EQ(engine.ingested(stream), 12u);
   engine.shutdown();
   metrics().reset();
 }
