@@ -34,7 +34,7 @@ void write_arff(std::ostream& out, const Dataset& data) {
       if (attr.is_nominal())
         out << attr.values()[static_cast<std::size_t>(inst.values[a])];
       else
-        out << format("%.6g", inst.values[a]);
+        out << format("%.17g", inst.values[a]);  // exact round trip
     }
     out << '\n';
   }

@@ -157,16 +157,19 @@ struct StreamEngine::Stream {
   core::OnlineDetector monitor;
   std::vector<Verdict> verdict_log;        ///< only when record_verdicts
   std::vector<std::uint64_t> version_log;  ///< parallel to verdict_log
-  /// Peak pending ring depth: raised by the worker as it starts draining
-  /// the stream, set to the ring capacity by an eviction.
+  /// Peak pending ring depth: the most windows one worker sweep found
+  /// pending, or the ring capacity once a window was evicted.
   std::atomic<std::uint64_t> high_water{0};
 
-  /// The worker's high-water update, made right after it pops the first
-  /// window of this stream in a gather: the pending depth then was that
-  /// window plus what is still queued behind it.
-  void raise_high_water() {
-    const auto depth = static_cast<std::uint64_t>(
-        std::min(ring.capacity(), ring.size_approx() + 1));
+  /// The worker's high-water update after it popped `popped` windows of
+  /// this stream in one sweep; `cut` says the batch cap stopped the sweep
+  /// with windows possibly still queued. Only that rare path reads the
+  /// feeder's cursor (ring.size_approx()): a read per sweep would pull the
+  /// feeder's line over and make its next push miss.
+  void raise_high_water(std::size_t popped, bool cut) {
+    const std::size_t pending = cut ? popped + ring.size_approx() : popped;
+    const auto depth =
+        static_cast<std::uint64_t>(std::min(ring.capacity(), pending));
     std::uint64_t seen = high_water.load(std::memory_order_relaxed);
     while (depth > seen && !high_water.compare_exchange_weak(
                                seen, depth, std::memory_order_relaxed)) {
@@ -514,7 +517,8 @@ bool StreamEngine::ingest(StreamHandle stream,
   HMD_REQUIRE(window.size() == config_.window_size,
               "StreamEngine::ingest: window width != config window_size");
 
-  // `accepted` has one writer, this stream's (serialized) feeder.
+  // `accepted` has one writer, this stream's (serialized) feeder, so it
+  // is loaded here and stored (not incremented) after the push.
   const std::uint64_t ordinal =
       stream->accepted.load(std::memory_order_relaxed);
   const std::uint64_t ingest_us =
@@ -552,7 +556,8 @@ bool StreamEngine::ingest(StreamHandle stream,
       std::this_thread::yield();
     }
   }
-  stream->accepted.fetch_add(1, std::memory_order_relaxed);
+  // `produced` stays an RMW: several feeders may share a shard.
+  stream->accepted.store(ordinal + 1, std::memory_order_relaxed);
   shard.produced.fetch_add(1, std::memory_order_relaxed);
   if (shard.parked.load(std::memory_order_seq_cst)) unpark(shard);
   return !dropped_one;
@@ -872,13 +877,15 @@ void StreamEngine::worker_loop(Shard& shard) {
       const std::size_t first = batch.items.size();
       while (batch.items.size() < config_.max_batch_windows &&
              stream->ring.try_pop(sample)) {
-        if (batch.items.size() == first) stream->raise_high_water();
         batch.items.push_back({stream, sample.ingest_us});
         batch.flat.insert(
             batch.flat.end(), sample.counts.begin(),
             sample.counts.begin() + static_cast<std::ptrdiff_t>(width));
       }
-      if (batch.items.size() >= config_.max_batch_windows) break;
+      const bool cut = batch.items.size() >= config_.max_batch_windows;
+      if (batch.items.size() > first)
+        stream->raise_high_water(batch.items.size() - first, cut);
+      if (cut) break;
     }
 
     if (!batch.items.empty()) {

@@ -48,9 +48,10 @@
 //   serve.e2e_latency_us[.shard<k>]  histogram ingest → verdict latency of
 //                                              window j of a stream iff
 //                                              (j + stream id) % 64 == 0
-// Ingest itself is one ring push plus the stream's accepted count: no
-// clock read (bar the 1-in-64 stamp) and no write to a line the worker
-// owns; the rest of the bookkeeping above is the worker's.
+// Ingest itself is one ring push plus a store of the stream's accepted
+// count: no clock read (bar the 1-in-64 stamp) and no write to a line the
+// worker owns; the rest of the bookkeeping above is the worker's, which in
+// turn never reads the feeder's ring cursor on its common path.
 // plus the serve.resilience.* family (docs/resilience.md):
 //   retries, score_failures, fallback_batches, degrade_events, recoveries,
 //   budget_overruns, swaps_observed, errors_swallowed, checkpoints,
@@ -99,8 +100,15 @@ struct ServeConfig {
   std::size_t num_shards = 1;
   /// Counters per window (model input width), 1..kMaxWindowWidth.
   std::size_t window_size = 16;
-  /// Per-stream ring capacity (rounded up to a power of two).
-  std::size_t ring_capacity = 256;
+  /// Per-stream ring capacity (rounded up to a power of two). Ring memory
+  /// is streams × capacity × 144 B (the slot of a 16-counter window), so
+  /// the default follows the traffic rather than a worst case: measured
+  /// per-stream high water on 4096 streams stays at 2–8 pending windows,
+  /// with rare peaks of ~90 while a worker is descheduled. A feeder under
+  /// kBlock waits once its ring holds this many windows; under
+  /// kDropOldest a 10 ms stream starts evicting after 16 × 10 ms = 160 ms
+  /// of backlog. Raise it for feeders that must absorb longer stalls.
+  std::size_t ring_capacity = 16;
   /// Max windows a shard gathers into one cross-stream batch.
   std::size_t max_batch_windows = 1024;
 
@@ -295,9 +303,9 @@ class StreamEngine {
   std::uint64_t dropped(StreamHandle stream) const;
   /// Windows this stream accepted (including later-dropped ones).
   std::uint64_t ingested(StreamHandle stream) const;
-  /// Peak pending depth: the deepest backlog the worker found when it
-  /// started draining this stream, or the ring capacity once a window
-  /// was evicted.
+  /// Peak pending depth: the most windows one worker sweep found pending
+  /// on this stream (capped at the ring capacity), or the ring capacity
+  /// once a window was evicted.
   std::uint64_t high_water(StreamHandle stream) const;
   /// Windows accepted across all streams.
   std::uint64_t total_ingested() const;

@@ -37,6 +37,26 @@ TEST(Arff, RoundTripPreservesData) {
   }
 }
 
+TEST(Arff, RoundTripIsBitIdentical) {
+  // Values that six significant digits cannot hold must survive exactly.
+  Dataset d({Attribute("f0"), Attribute("f1"),
+             Attribute("class", {"benign", "malware"})},
+            "exact");
+  d.add(Instance{{0.1 + 1e-9, 1.0 / 3.0, 0.0}});
+  d.add(Instance{{123456.789012345, -2.5e-300, 1.0}});
+  std::ostringstream out;
+  write_arff(out, d);
+  std::istringstream in(out.str());
+  const Dataset r = read_arff(in);
+  ASSERT_EQ(r.num_instances(), d.num_instances());
+  for (std::size_t i = 0; i < d.num_instances(); ++i) {
+    EXPECT_EQ(r.class_of(i), d.class_of(i));
+    for (std::size_t f = 0; f < d.num_features(); ++f)
+      EXPECT_EQ(r.features_of(i)[f], d.features_of(i)[f])
+          << "row " << i << " feature " << f;
+  }
+}
+
 TEST(Arff, ParsesUnquotedAttributeNames) {
   std::istringstream in(
       "@relation t\n"

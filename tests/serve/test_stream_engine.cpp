@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -614,6 +615,78 @@ TEST(StreamEngine, EvictionSetsHighWaterToRingCapacity) {
   engine.drain();
   EXPECT_EQ(engine.high_water(stream), 8u);
   EXPECT_EQ(engine.ingested(stream), 12u);
+  engine.shutdown();
+  metrics().reset();
+}
+
+TEST(StreamEngine, HighWaterCountsWhatACappedSweepLeftQueued) {
+  // The batch cap cuts the sweep at 4 windows; the 6 still queued behind
+  // them count towards the depth that sweep found.
+  GatedModel model;
+  ServeConfig config;
+  config.window_size = 1;
+  config.ring_capacity = 16;
+  config.max_batch_windows = 4;
+  StreamEngine engine(model, config);
+  auto* stream = engine.register_stream(9);
+  engine.ingest(stream, std::vector<double>{0.1});
+  model.await_entered();
+  constexpr std::uint64_t kQueued = 10;
+  for (std::uint64_t w = 0; w < kQueued; ++w)
+    engine.ingest(stream, std::vector<double>{0.1});
+  model.open();
+  engine.drain();
+  EXPECT_EQ(engine.high_water(stream), kQueued);
+  EXPECT_EQ(engine.dropped(stream), 0u);
+  EXPECT_EQ(engine.ingested(stream), kQueued + 1);
+  engine.shutdown();
+  metrics().reset();
+}
+
+TEST(StreamEngine, DefaultRingBlocksUntilTheWorkerDrains) {
+  // kBlock at the default capacity: a feeder that outruns a held worker
+  // waits once the ring is full, and nothing is lost.
+  GatedModel model;
+  ServeConfig config;
+  config.record_verdicts = true;
+  const std::size_t capacity = config.ring_capacity;
+  StreamEngine engine(model, config);
+  auto* stream = engine.register_stream(4);
+
+  constexpr std::size_t kWindows = 40;
+  ASSERT_LT(1 + capacity, kWindows);
+  const auto window = [&config](std::size_t w) {
+    std::vector<double> counts(config.window_size, 0.0);
+    counts[0] = static_cast<double>(w) / 100.0;
+    return counts;
+  };
+  std::atomic<bool> fed{false};
+  std::thread feeder([&] {
+    engine.ingest(stream, window(0));
+    model.await_entered();  // the worker holds window 0 alone
+    for (std::size_t w = 1; w < kWindows; ++w) engine.ingest(stream, window(w));
+    fed.store(true);
+  });
+
+  // The held window plus a full ring, then the feeder waits.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (engine.ingested(stream) < 1 + capacity &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(engine.ingested(stream), 1 + capacity);
+  EXPECT_FALSE(fed.load());
+
+  model.open();
+  feeder.join();
+  engine.drain();
+  EXPECT_EQ(engine.ingested(stream), kWindows);
+  EXPECT_EQ(engine.dropped(stream), 0u);
+  const auto& verdicts = engine.verdicts(stream);
+  ASSERT_EQ(verdicts.size(), kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w)
+    EXPECT_EQ(verdicts[w].probability, window(w)[0]) << "window " << w;
   engine.shutdown();
   metrics().reset();
 }

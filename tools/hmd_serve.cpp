@@ -89,7 +89,9 @@ int main(int argc, char** argv) {
   parser.add_size("--shards", &config.num_shards, "N",
                   "scoring shards (default 2)");
   parser.add_size("--ring", &config.ring_capacity, "N",
-                  "per-stream ring capacity (default 256)");
+                  "per-stream ring capacity (default " +
+                      std::to_string(serve::ServeConfig{}.ring_capacity) +
+                      ")");
   parser.add_flag("--drop-oldest", &drop_oldest,
                   "bounded-loss backpressure instead of blocking");
   parser.add_flag("--drift", &drift,
