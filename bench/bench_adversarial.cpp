@@ -54,13 +54,6 @@ namespace {
 
 using namespace hmd;
 
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0')
-             ? static_cast<std::size_t>(std::strtoull(v, nullptr, 10))
-             : fallback;
-}
-
 std::string env_or_str(const char* name, const char* fallback) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? v : fallback;
@@ -177,12 +170,12 @@ void write_json(const std::string& path, const core::PipelineConfig& cfg,
 int main() {
   bench::init_observability();
   const double scale =
-      static_cast<double>(env_or("HMD_ADV_SCALE_PCT", 5)) / 100.0;
+      static_cast<double>(bench::env_size("HMD_ADV_SCALE_PCT", 5)) / 100.0;
   core::PipelineConfig cfg;
   cfg.composition = workload::DatabaseComposition::scaled(scale);
-  cfg.collector.num_windows = env_or("HMD_ADV_WINDOWS", 6);
-  cfg.collector.ops_per_window = env_or("HMD_ADV_OPS", 2000);
-  const std::size_t iters = env_or("HMD_ADV_ITERS", 128);
+  cfg.collector.num_windows = bench::env_size("HMD_ADV_WINDOWS", 6);
+  cfg.collector.ops_per_window = bench::env_size("HMD_ADV_OPS", 2000);
+  const std::size_t iters = bench::env_size("HMD_ADV_ITERS", 128);
   const std::string surrogate_scheme = env_or_str("HMD_ADV_SURROGATE", "MLR");
 
   std::fprintf(stderr,

@@ -51,6 +51,12 @@ const Splits& splits() {
 
 }  // namespace
 
+std::size_t env_size(const char* name, std::size_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+}
+
 core::PipelineConfig bench_config() {
   const double scale = env_double("HMD_BENCH_SCALE", 0.30);
   const auto windows =

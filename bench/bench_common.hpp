@@ -12,6 +12,7 @@
 // (~49k rows; collection takes ~25 s once).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -23,6 +24,10 @@
 #include "util/thread_pool.hpp"
 
 namespace hmd::bench {
+
+/// A count-valued environment knob: the variable's value as an unsigned
+/// decimal, or `fallback` when it is unset or empty.
+std::size_t env_size(const char* name, std::size_t fallback);
 
 /// The bench pipeline configuration (env-scaled).
 core::PipelineConfig bench_config();

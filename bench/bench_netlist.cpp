@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -36,13 +35,6 @@
 namespace {
 
 using namespace hmd;
-
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0')
-             ? static_cast<std::size_t>(std::strtoull(v, nullptr, 10))
-             : fallback;
-}
 
 /// Aliasing shared_ptr: lets QuantizedModel borrow a stack-owned model.
 std::shared_ptr<const ml::Classifier> borrow(const ml::Classifier& c) {
@@ -137,7 +129,7 @@ void write_json(const std::string& path, std::size_t train_rows,
 int main() {
   bench::print_banner("netlist pipeline (hw::compile + simulator)");
   const auto [train, test] = bench::binary_split();
-  const std::size_t max_rows = env_or("HMD_NETLIST_ROWS", 2000);
+  const std::size_t max_rows = bench::env_size("HMD_NETLIST_ROWS", 2000);
   const std::vector<std::string> exact_set = ml::rtl_exact_schemes();
 
   std::printf("%-14s %6s %8s %10s %12s %10s\n", "scheme", "nets",

@@ -30,6 +30,8 @@ PageHinkley::PageHinkley(PageHinkleyConfig config)
 }
 
 bool PageHinkley::observe(double x) {
+  // A non-finite score would stay in the running mean for good; skip it.
+  if (!std::isfinite(x)) return false;
   State& s = state_;
   ++s.count;
   s.mean += (x - s.mean) / static_cast<double>(s.count);
@@ -102,6 +104,10 @@ double KsWindowDetector::ks_statistic(std::vector<double> a,
 }
 
 bool KsWindowDetector::observe(double x) {
+  // NaN breaks the ordering ks_statistic's sort and merge sweep rely on
+  // (the sweep never steps past it), and ±inf is no score a model
+  // produces; skip both.
+  if (!std::isfinite(x)) return false;
   ++observed_;
   if (reference_.size() < config_.window) {
     reference_.push_back(x);

@@ -76,7 +76,8 @@ class PageHinkley {
   explicit PageHinkley(PageHinkleyConfig config);
 
   /// Feed the next score; true when the test trips. A trip resets the
-  /// baseline (count/mean/cumulative) and bumps `trips`.
+  /// baseline (count/mean/cumulative) and bumps `trips`. A non-finite
+  /// score is ignored: false, state unchanged.
   bool observe(double x);
 
   /// Start a fresh baseline (keeps the lifetime trip count).
@@ -125,7 +126,8 @@ class KsWindowDetector {
   explicit KsWindowDetector(KsConfig config);
 
   /// Feed the next score; true when an evaluation trips. A trip resets
-  /// both samples (keeps the lifetime trip count).
+  /// both samples (keeps the lifetime trip count). A non-finite score is
+  /// ignored: false, state unchanged.
   bool observe(double x);
 
   void reset();

@@ -96,6 +96,13 @@ TEST(KnnIndex, BigStoreBuildsIndexAndMatchesBruteBitForBit) {
   model.train(data);
   ASSERT_TRUE(model.has_index());
   expect_paths_identical(model, random_queries(300, 8, 18), 8);
+
+  // The thesis dataset's shape: 16 counters, 6 classes, 1.5x the build
+  // threshold.
+  Knn thesis(5);
+  thesis.train(testdata::blobs(6, 16, kernels::kLeafBlock / 2, 2.0, 1.5, 19));
+  ASSERT_TRUE(thesis.has_index());
+  expect_paths_identical(thesis, random_queries(300, 16, 20), 16);
 }
 
 TEST(KnnIndex, TieHeavyIntegerLatticeMatchesBruteBitForBit) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/evaluation.hpp"
@@ -126,34 +127,49 @@ TEST(Registry, EverySchemeReportsThroughEvaluationReport) {
   }
 }
 
-TEST(Registry, BatchOverridesMatchPerRowScoringForEveryScheme) {
-  // Several schemes override distribution_batch with buffer-reusing or
-  // GEMM paths; the contract across ALL sixteen is bit-identity with the
-  // per-row distribution() loop, whatever path the scheme takes.
-  // Binary data: the one-class anomaly schemes refuse multiclass sets.
-  const auto data = testdata::separable_binary(80);
+/// Trains `name` on `data` and checks that one distribution_batch call over
+/// `rows` rows (cycling through the data) is bit-identical to the per-row
+/// distribution() loop.
+void expect_batch_matches_per_row(const std::string& name,
+                                  const Dataset& data, std::size_t rows) {
   const std::size_t d = data.num_features();
-  const std::size_t rows = 60;
   std::vector<double> flat;
   for (std::size_t r = 0; r < rows; ++r) {
     const auto f = data.features_of(r % data.num_instances());
     flat.insert(flat.end(), f.begin(), f.end());
   }
-  for (const auto& name : known_schemes()) {
-    const auto clf = make_classifier(name);
-    clf->train(data);
-    const std::size_t k = clf->num_classes();
-    std::vector<double> batch(rows * k);
-    clf->distribution_batch(flat, d, batch);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto one = clf->distribution(
-          std::span<const double>(flat.data() + r * d, d));
-      ASSERT_EQ(one.size(), k) << name;
-      for (std::size_t c = 0; c < k; ++c)
-        ASSERT_EQ(batch[r * k + c], one[c])
-            << name << " row " << r << " class " << c;
-    }
+  const auto clf = make_classifier(name);
+  clf->train(data);
+  const std::size_t k = clf->num_classes();
+  std::vector<double> batch(rows * k);
+  clf->distribution_batch(flat, d, batch);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto one =
+        clf->distribution(std::span<const double>(flat.data() + r * d, d));
+    ASSERT_EQ(one.size(), k) << name;
+    for (std::size_t c = 0; c < k; ++c)
+      ASSERT_EQ(batch[r * k + c], one[c])
+          << name << " row " << r << " class " << c;
   }
+}
+
+TEST(Registry, BatchOverridesMatchPerRowScoringForEveryScheme) {
+  // Several schemes override distribution_batch with buffer-reusing or
+  // GEMM paths; the contract across ALL fifteen is bit-identity with the
+  // per-row distribution() loop, whatever path the scheme takes. The GEMM
+  // paths (MLR, SVM, MLP) work in 128-row chunks, so the batch spans two
+  // full chunks and a partial tail.
+  constexpr std::size_t kRows = 2 * 128 + 37;
+  // Binary pass: every scheme, the one-class anomaly schemes included.
+  const auto binary = testdata::separable_binary(80);
+  for (const auto& name : known_schemes())
+    expect_batch_matches_per_row(name, binary, kRows);
+  // Multiclass pass in the thesis dataset's shape (16 counters, 6
+  // classes). The one-class schemes refuse multiclass sets.
+  const auto multiclass = testdata::blobs(6, 16, 50, 2.0, 1.5, 31);
+  for (const auto& name : known_schemes())
+    if (!is_one_class_scheme(name))
+      expect_batch_matches_per_row(name, multiclass, kRows);
 }
 
 TEST(Registry, StudyListsPreserveThesisOrdering) {

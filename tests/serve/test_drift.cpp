@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -281,6 +282,81 @@ TEST(KsWindow, ConfigValidation) {
   EXPECT_THROW(KsConfig{.threshold = 0.0}.validate(), PreconditionError);
   EXPECT_THROW(KsConfig{.stride = 0}.validate(), PreconditionError);
   EXPECT_NO_THROW(KsConfig{}.validate());
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite scores
+// ---------------------------------------------------------------------------
+
+/// A score stream that climbs through four levels, so both detectors trip
+/// more than once.
+std::vector<double> stepped_scores(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> scores;
+  for (const double lo : {0.05, 0.3, 0.55, 0.8})
+    for (std::size_t i = 0; i < 400; ++i)
+      scores.push_back(rng.uniform(lo, lo + 0.2));
+  return scores;
+}
+
+/// `clean` with NaN, +inf and -inf interleaved, one after every third score.
+std::vector<double> with_non_finite(const std::vector<double>& clean) {
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  std::vector<double> out;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    out.push_back(clean[i]);
+    if (i % 3 == 2) out.push_back(poison[(i / 3) % 3]);
+  }
+  return out;
+}
+
+/// Feeds `scores` to `detector`; returns the trip points, each counted as
+/// the number of finite scores seen so far.
+template <typename Detector>
+std::vector<std::size_t> trip_points(Detector& detector,
+                                     const std::vector<double>& scores) {
+  std::vector<std::size_t> trips;
+  std::size_t finite = 0;
+  for (const double s : scores) {
+    if (std::isfinite(s)) ++finite;
+    if (detector.observe(s)) trips.push_back(finite);
+  }
+  return trips;
+}
+
+TEST(PageHinkley, NonFiniteScoresLeaveStateAndTripsUnchanged) {
+  const auto clean = stepped_scores(41);
+  PageHinkley reference;
+  const auto expected = trip_points(reference, clean);
+  ASSERT_GE(expected.size(), 2u);
+
+  PageHinkley ph;
+  EXPECT_EQ(trip_points(ph, with_non_finite(clean)), expected);
+  EXPECT_EQ(ph.state().count, reference.state().count);
+  EXPECT_EQ(ph.state().mean, reference.state().mean);
+  EXPECT_EQ(ph.state().cumulative, reference.state().cumulative);
+  EXPECT_EQ(ph.state().minimum, reference.state().minimum);
+  EXPECT_EQ(ph.state().last_deviation, reference.state().last_deviation);
+  EXPECT_EQ(ph.state().trips, reference.state().trips);
+}
+
+TEST(KsWindow, NonFiniteScoresLeaveStateAndTripsUnchanged) {
+  const auto clean = stepped_scores(43);
+  KsWindowDetector reference;
+  const auto expected = trip_points(reference, clean);
+  ASSERT_GE(expected.size(), 2u);
+
+  KsWindowDetector ks;
+  EXPECT_EQ(trip_points(ks, with_non_finite(clean)), expected);
+  const auto got = ks.state();
+  const auto want = reference.state();
+  EXPECT_EQ(got.reference, want.reference);
+  EXPECT_EQ(got.current, want.current);
+  EXPECT_EQ(got.observed, want.observed);
+  EXPECT_EQ(got.last_statistic, want.last_statistic);
+  EXPECT_EQ(got.trips, want.trips);
 }
 
 // ---------------------------------------------------------------------------

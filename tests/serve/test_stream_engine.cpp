@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/online_detector.hpp"
+#include "ml/kernels.hpp"
+#include "ml/knn.hpp"
 #include "ml/logistic.hpp"
 #include "ml/quantized.hpp"
 #include "ml/svm.hpp"
@@ -1010,6 +1012,94 @@ TEST(ServeSoak, QuantizedTierSurvivesConcurrentFeedersAndRepublish) {
                               "tier soak stream " + std::to_string(s));
   }
   engine.shutdown();
+  metrics().reset();
+}
+
+// Indexed IBk soak: a k-NN model whose KD-tree index is built, so every
+// multi-row batch is scored in leading-feature order rather than arrival
+// order, served to concurrent feeders at 1, 2 and 4 shards. Every stream's
+// verdicts and alarm must still match its serial replay exactly. The TSan
+// CI job runs this suite (ServeSoak).
+TEST(ServeSoak, KnnModelMatchesSerialReplayAcrossShardCounts) {
+  constexpr std::size_t kWidth = 16;
+  constexpr std::size_t kFeeders = 2;
+  constexpr std::size_t kStreams = 8;
+  constexpr std::size_t kWindows = 200;
+
+  // Two Gaussian blobs (benign/malware) in the counter layout's shape.
+  std::vector<ml::Attribute> attrs;
+  for (std::size_t f = 0; f < kWidth; ++f)
+    attrs.emplace_back("f" + std::to_string(f));
+  attrs.emplace_back("class", std::vector<std::string>{"benign", "malware"});
+  ml::Dataset data(std::move(attrs), "knn_soak");
+  Rng rng(11);
+  for (std::size_t i = 0; i < 2 * ml::kernels::kLeafBlock + 64; ++i) {
+    const std::size_t c = i % 2;
+    ml::Instance row;
+    for (std::size_t f = 0; f < kWidth; ++f)
+      row.values.push_back(rng.normal(
+          c == 0 ? 1.0 : 3.0 + 0.2 * static_cast<double>(f), 1.2));
+    row.values.push_back(static_cast<double>(c));
+    data.add(std::move(row));
+  }
+  ml::Knn model(5);
+  model.train(data);
+  ASSERT_TRUE(model.has_index());
+
+  const auto policy =
+      OnlineDetectorConfig{.flag_threshold = 0.9, .confirm_windows = 3};
+  std::vector<std::vector<std::vector<double>>> workload(kStreams);
+  std::vector<std::vector<OnlineDetector::Verdict>> expected(kStreams);
+  std::vector<std::size_t> expected_alarm(kStreams);
+  std::size_t alarmed_streams = 0;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    Rng window_rng(0x5e12e + s);
+    OnlineDetector det(model, policy);
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      std::vector<double> window(kWidth);
+      const bool hot = window_rng.bernoulli(0.35);
+      for (double& v : window) v = window_rng.normal(hot ? 3.4 : 1.0, 1.2);
+      expected[s].push_back(det.observe(window));
+      workload[s].push_back(std::move(window));
+    }
+    expected_alarm[s] = det.alarm_window();
+    if (expected_alarm[s] != OnlineDetector::kNoAlarm) ++alarmed_streams;
+  }
+  ASSERT_GT(alarmed_streams, 0u);
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    ServeConfig config;
+    config.window_size = kWidth;
+    config.num_shards = shards;
+    config.record_verdicts = true;
+    config.policy = policy;
+    StreamEngine engine(model, config);
+    std::vector<StreamEngine::StreamHandle> handles;
+    for (std::size_t s = 0; s < kStreams; ++s)
+      handles.push_back(engine.register_stream(3000 + s));
+
+    // Feeder f owns the streams s with s % kFeeders == f and round-robins
+    // window by window across them.
+    std::vector<std::thread> feeders;
+    for (std::size_t f = 0; f < kFeeders; ++f)
+      feeders.emplace_back([&, f] {
+        for (std::size_t w = 0; w < kWindows; ++w)
+          for (std::size_t s = f; s < kStreams; s += kFeeders)
+            engine.ingest(handles[s], workload[s][w]);
+      });
+    for (auto& t : feeders) t.join();
+    engine.drain();
+
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      const std::string label = "shards " + std::to_string(shards) +
+                                " stream " + std::to_string(s);
+      expect_verdicts_identical(engine.verdicts(handles[s]), expected[s],
+                                label);
+      EXPECT_EQ(engine.monitor(handles[s]).alarm_window(), expected_alarm[s])
+          << label;
+    }
+    engine.shutdown();
+  }
   metrics().reset();
 }
 
