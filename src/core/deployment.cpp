@@ -1,12 +1,11 @@
 #include "core/deployment.hpp"
 
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
 #include "ml/serialization.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
+#include "util/token_reader.hpp"
 
 namespace hmd::core {
 
@@ -80,8 +79,8 @@ void save_bundle(std::ostream& out, const DeploymentBundle& bundle) {
   for (std::size_t i = 0; i < bundle.features().indices.size(); ++i)
     out << "feature " << bundle.features().indices[i] << ' '
         << bundle.features().names[i] << '\n';
-  out << format("policy %a %zu\n", bundle.policy().flag_threshold,
-                bundle.policy().confirm_windows);
+  out << "policy " << hexfloat(bundle.policy().flag_threshold) << ' '
+      << bundle.policy().confirm_windows << '\n';
   if (v2) out << "fallback 1\n";
   ml::save_model(out, bundle.model());
   if (v2) ml::save_model(out, *bundle.fallback_model());
@@ -90,67 +89,36 @@ void save_bundle(std::ostream& out, const DeploymentBundle& bundle) {
 namespace {
 
 /// The actual parser (v1 and v2); throws ParseError on malformed input.
-DeploymentBundle load_bundle_impl(std::istream& in) {
-  std::string line;
-  auto next_line = [&]() -> std::string {
-    while (std::getline(in, line)) {
-      if (!trim(line).empty()) return std::string(trim(line));
-    }
-    throw ParseError("bundle: unexpected end of input");
-  };
+DeploymentBundle read_bundle(TokenReader& reader) {
+  const std::string version = reader.header("hmd-bundle", {"v1", "v2"});
 
-  const std::string header = next_line();
-  bool v2 = false;
-  if (header == "hmd-bundle v2")
-    v2 = true;
-  else if (header != "hmd-bundle v1")
-    throw ParseError(
-        "bundle: bad header (expected 'hmd-bundle v1' or 'hmd-bundle v2')");
-
-  const auto feat_header = split(next_line(), ' ');
-  if (feat_header.size() != 2 || feat_header[0] != "features")
-    throw ParseError("bundle: bad features header");
-  const auto n_features =
-      static_cast<std::size_t>(parse_int(feat_header[1]));
-
+  const std::uint64_t n_features = reader.count_line("features");
   FeatureSet features;
-  for (std::size_t i = 0; i < n_features; ++i) {
+  for (std::uint64_t i = 0; i < n_features; ++i) {
     // "feature <idx> <name>" — event names are hyphenated, no spaces.
-    const auto tokens = split(next_line(), ' ');
-    if (tokens.size() != 3 || tokens[0] != "feature")
-      throw ParseError("bundle: bad feature line");
-    features.indices.push_back(
-        static_cast<std::size_t>(parse_int(tokens[1])));
-    features.names.push_back(tokens[2]);
+    reader.line("feature");
+    features.indices.push_back(reader.count("feature"));
+    features.names.push_back(reader.word("feature"));
+    reader.end_line();
   }
 
-  const auto policy_tokens = split(next_line(), ' ');
-  if (policy_tokens.size() != 3 || policy_tokens[0] != "policy")
-    throw ParseError("bundle: bad policy line");
+  reader.line("policy");
   OnlineDetectorConfig policy;
-  {
-    const char* begin = policy_tokens[1].c_str();
-    char* end = nullptr;
-    policy.flag_threshold = std::strtod(begin, &end);
-    if (end != begin + policy_tokens[1].size())
-      throw ParseError("bundle: bad policy threshold");
-  }
-  policy.confirm_windows =
-      static_cast<std::size_t>(parse_int(policy_tokens[2]));
+  policy.flag_threshold = reader.real("policy");
+  policy.confirm_windows = reader.count("policy");
+  reader.end_line();
 
   bool has_fallback = false;
-  if (v2) {
-    const auto fb_tokens = split(next_line(), ' ');
-    if (fb_tokens.size() != 2 || fb_tokens[0] != "fallback")
-      throw ParseError("bundle: bad fallback line");
-    if (fb_tokens[1] != "0" && fb_tokens[1] != "1")
-      throw ParseError("bundle: fallback must be 0 or 1");
-    has_fallback = fb_tokens[1] == "1";
+  if (version == "v2") {
+    reader.line("fallback");
+    has_fallback = reader.flag("fallback");
+    reader.end_line();
   }
 
-  std::unique_ptr<ml::Classifier> model = ml::load_model(in);
+  // The models are sections of the bundle, read on at its line numbers.
+  std::unique_ptr<ml::Classifier> model = ml::read_model(reader);
   std::unique_ptr<ml::Classifier> fallback;
-  if (has_fallback) fallback = ml::load_model(in);
+  if (has_fallback) fallback = ml::read_model(reader);
   return DeploymentBundle(std::move(model), std::move(fallback),
                           std::move(features), policy);
 }
@@ -158,7 +126,10 @@ DeploymentBundle load_bundle_impl(std::istream& in) {
 }  // namespace
 
 Result<DeploymentBundle> try_load_bundle(std::istream& in) {
-  return capture_result([&in] { return load_bundle_impl(in); })
+  return capture_result([&in] {
+           TokenReader reader(in, "bundle");
+           return read_bundle(reader);
+         })
       .with_context("loading deployment bundle");
 }
 

@@ -58,7 +58,6 @@ void OnlineDetector::advance(Verdict& verdict) {
   DetectorInstruments& instruments = DetectorInstruments::get();
   verdict.flagged = verdict.probability > config_.flag_threshold;
   instruments.windows_scored.add();
-  score_stats_.add(verdict.probability);
   if (verdict.flagged) {
     ++flagged_;
     instruments.windows_flagged.add();
@@ -154,7 +153,6 @@ void OnlineDetector::reset() {
   streak_ = 0;
   alarmed_ = false;
   alarm_window_ = kNoAlarm;
-  score_stats_.clear();
   benign_score_stats_.clear();
 }
 

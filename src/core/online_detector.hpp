@@ -122,13 +122,9 @@ class OnlineDetector {
                                static_cast<double>(windows_);
   }
 
-  /// Running summary of every observed P(malware). Observability export
-  /// (the drift layer and tools read the benign-side stats); deliberately
-  /// NOT part of State — restoring a checkpoint restores behavior, and
-  /// these summaries never affect verdicts.
-  const RunningStats& score_stats() const { return score_stats_; }
-  /// Running summary of the scores of UNFLAGGED windows only — the
-  /// benign-looking score mass a drift baseline should sit on.
+  /// Running summary of the scores of UNFLAGGED windows only (hmd_serve
+  /// reports its mean per stream). NOT part of State: restoring a
+  /// checkpoint restores behavior, and this never affects verdicts.
   const RunningStats& benign_score_stats() const {
     return benign_score_stats_;
   }
@@ -147,7 +143,6 @@ class OnlineDetector {
   std::size_t streak_ = 0;
   bool alarmed_ = false;
   std::size_t alarm_window_ = kNoAlarm;
-  RunningStats score_stats_;
   RunningStats benign_score_stats_;
 };
 

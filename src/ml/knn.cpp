@@ -532,14 +532,16 @@ void Knn::distribution_batch(std::span<const double> flat,
   // leaves, so each group's screen blocks and point rows stay hot in
   // cache instead of being evicted between every pair of unrelated
   // queries. (Skipped when there is no index — the brute scan streams
-  // the whole store regardless of query locality.)
+  // the whole store regardless of query locality.) NaN keys sort last:
+  // `<` alone is no strict weak order over NaN, and std::sort needs one.
   s.order.resize(rows);
   std::iota(s.order.begin(), s.order.end(), 0u);
   if (index_enabled_ && !nodes_.empty() && rows > 1)
     std::sort(s.order.begin(), s.order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                return flat[std::size_t{a} * window_size] <
-                       flat[std::size_t{b} * window_size];
+                const double ka = flat[std::size_t{a} * window_size];
+                const double kb = flat[std::size_t{b} * window_size];
+                return std::isnan(kb) ? !std::isnan(ka) : ka < kb;
               });
   for (std::size_t i = 0; i < rows; ++i) {
     const std::size_t r = s.order[i];

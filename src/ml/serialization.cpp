@@ -1,9 +1,10 @@
 #include "ml/serialization.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <concepts>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <span>
 #include <type_traits>
 
 #include "ml/decision_stump.hpp"
@@ -19,79 +20,31 @@
 #include "ml/svm.hpp"
 #include "ml/zero_r.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
+#include "util/token_reader.hpp"
 
 namespace hmd::ml {
 
 namespace {
 
-/// Exact double encoding (hexfloat; strtod parses it back bit-identically).
-std::string enc(double v) { return format("%a", v); }
+/// Largest class count a model may declare: it sizes every distribution.
+constexpr std::uint64_t kMaxClasses = 1u << 16;
 
-double dec(const std::string& token) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end != begin + token.size())
-    throw ParseError("model: bad double token '" + token + "'");
-  return v;
-}
-
-/// Tokenized line reader with one-token lookahead-free semantics.
-class Reader {
- public:
-  explicit Reader(std::istream& in) : in_(in) {}
-
-  /// Next non-empty line's tokens; throws at EOF.
-  std::vector<std::string> line() {
-    std::string raw;
-    while (std::getline(in_, raw)) {
-      std::vector<std::string> tokens;
-      for (const auto& t : split(raw, ' '))
-        if (!trim(t).empty()) tokens.emplace_back(trim(t));
-      if (!tokens.empty()) return tokens;
-    }
-    throw ParseError("model: unexpected end of input");
-  }
-
-  /// Next line must start with `key`; returns the remaining tokens.
-  std::vector<std::string> expect(const std::string& key) {
-    auto tokens = line();
-    if (tokens.front() != key)
-      throw ParseError("model: expected '" + key + "', got '" +
-                       tokens.front() + "'");
-    tokens.erase(tokens.begin());
-    return tokens;
-  }
-
-  std::size_t expect_size(const std::string& key) {
-    const auto tokens = expect(key);
-    if (tokens.size() != 1)
-      throw ParseError("model: '" + key + "' needs one value");
-    return static_cast<std::size_t>(parse_int(tokens[0]));
-  }
-
- private:
-  std::istream& in_;
-};
+constexpr std::size_t kAny = static_cast<std::size_t>(-1);  ///< read_matrix
 
 void write_vector(std::ostream& out, const std::string& key,
-                  const std::vector<double>& v) {
+                  std::span<const double> v) {
   out << key;
-  for (double x : v) out << ' ' << enc(x);
+  for (double x : v) out << ' ' << hexfloat(x);
   out << '\n';
 }
 
-std::vector<double> read_vector(Reader& reader, const std::string& key,
-                                std::size_t expected) {
-  const auto tokens = reader.expect(key);
-  if (tokens.size() != expected)
-    throw ParseError("model: '" + key + "' expected " +
-                     std::to_string(expected) + " values, got " +
-                     std::to_string(tokens.size()));
-  std::vector<double> v;
-  v.reserve(tokens.size());
-  for (const auto& t : tokens) v.push_back(dec(t));
+/// A "<key> <real>*" line holding exactly `n` values.
+std::vector<double> read_vector(TokenReader& in, std::string_view key,
+                                std::size_t n) {
+  std::vector<double> v = in.reals_line(key);
+  if (v.size() != n)
+    in.fail(key, "expected " + std::to_string(n) + " values, got " +
+                     std::to_string(v.size()));
   return v;
 }
 
@@ -102,27 +55,38 @@ void write_matrix(std::ostream& out, const std::string& key,
   for (const auto& row : m) write_vector(out, "row", row);
 }
 
-/// A flat row-major buffer as `dim`-wide rows.
-std::vector<std::vector<double>> unflatten(const std::vector<double>& flat,
-                                           std::size_t dim) {
-  const std::size_t n = dim == 0 ? 0 : flat.size() / dim;
-  std::vector<std::vector<double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r)
-    rows[r].assign(flat.begin() + static_cast<std::ptrdiff_t>(r * dim),
-                   flat.begin() + static_cast<std::ptrdiff_t>((r + 1) * dim));
-  return rows;
+/// A row-major buffer of `cols`-wide rows, as write_matrix writes it.
+void write_rows(std::ostream& out, const std::string& key,
+                std::span<const double> flat, std::size_t cols) {
+  out << key << ' ' << flat.size() / cols << ' ' << cols << '\n';
+  for (std::size_t at = 0; at < flat.size(); at += cols)
+    write_vector(out, "row", flat.subspan(at, cols));
 }
 
-std::vector<std::vector<double>> read_matrix(Reader& reader,
-                                             const std::string& key) {
-  const auto dims = reader.expect(key);
-  if (dims.size() != 2) throw ParseError("model: bad matrix header");
-  const auto rows = static_cast<std::size_t>(parse_int(dims[0]));
-  const auto cols = static_cast<std::size_t>(parse_int(dims[1]));
+/// A "<key> <rows> <cols>" header and its "row <real>*cols" lines; a shape
+/// other than `want_rows` x `want_cols` (kAny: free) fails at the header.
+std::vector<std::vector<double>> read_matrix(TokenReader& in,
+                                             std::string_view key,
+                                             std::size_t want_rows,
+                                             std::size_t want_cols) {
+  in.line(key);
+  const std::uint64_t rows = in.count(key);
+  const std::uint64_t cols = in.count(key);
+  in.end_line();
+  if (want_rows != kAny && rows != want_rows)
+    in.fail(key, "expected " + std::to_string(want_rows) + " rows, got " +
+                     std::to_string(rows));
+  if (want_cols != kAny && cols != want_cols)
+    in.fail(key, "rows must hold " + std::to_string(want_cols) +
+                     " values, got " + std::to_string(cols));
   std::vector<std::vector<double>> m;
-  m.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r)
-    m.push_back(read_vector(reader, "row", cols));
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    in.line("row");
+    m.push_back(in.reals(key));
+    if (m.back().size() != cols)
+      in.fail(key, "row holds " + std::to_string(m.back().size()) +
+                       " values, header says " + std::to_string(cols));
+  }
   return m;
 }
 
@@ -131,30 +95,14 @@ void write_standardizer(std::ostream& out, const Standardizer& s) {
   write_vector(out, "standardizer_sd", s.stddevs());
 }
 
-/// A class index read from field `key`; must name one of `classes`.
-std::size_t class_index(std::size_t cls, std::size_t classes,
-                        const std::string& key) {
+/// A class index read from field `field`; must name one of `classes`.
+std::size_t read_class(TokenReader& in, std::size_t classes,
+                       std::string_view field) {
+  const std::uint64_t cls = in.count(field);
   if (cls >= classes)
-    throw ParseError("model: '" + key + "' class " + std::to_string(cls) +
-                     " out of range for " + std::to_string(classes) +
-                     " classes");
+    in.fail(field, "class " + std::to_string(cls) + " out of range for " +
+                       std::to_string(classes) + " classes");
   return cls;
-}
-
-std::size_t class_index(const std::string& token, std::size_t classes,
-                        const std::string& key) {
-  return class_index(static_cast<std::size_t>(parse_int(token)), classes,
-                     key);
-}
-
-/// Every row of matrix field `key` must hold `width` values.
-void require_row_width(const std::vector<std::vector<double>>& m,
-                       std::size_t width, const std::string& key) {
-  for (const auto& row : m)
-    if (row.size() != width)
-      throw ParseError("model: '" + key + "' rows must hold " +
-                       std::to_string(width) + " values, got " +
-                       std::to_string(row.size()));
 }
 
 void write_j48_node(std::ostream& out, const J48::Node& node) {
@@ -163,41 +111,47 @@ void write_j48_node(std::ostream& out, const J48::Node& node) {
         << '\n';
     return;
   }
-  out << "split " << node.feature << ' ' << enc(node.threshold) << ' '
+  out << "split " << node.feature << ' ' << hexfloat(node.threshold) << ' '
       << node.cls << ' ' << node.n << ' ' << node.errors << '\n';
   write_j48_node(out, *node.left);
   write_j48_node(out, *node.right);
 }
 
-std::unique_ptr<J48::Node> read_j48_node(Reader& reader, std::size_t classes) {
-  const auto tokens = reader.line();
+std::unique_ptr<J48::Node> read_j48_node(TokenReader& in, std::size_t classes) {
+  if (!in.next_line()) in.fail("leaf", "unexpected end of input");
+  in.enter("split");
   auto node = std::make_unique<J48::Node>();
-  if (tokens.front() == "leaf") {
-    if (tokens.size() != 4) throw ParseError("model: bad leaf line");
-    node->cls = class_index(tokens[1], classes, "leaf");
-    node->n = static_cast<std::size_t>(parse_int(tokens[2]));
-    node->errors = static_cast<std::size_t>(parse_int(tokens[3]));
-    return node;
+  const std::string kind = in.peek() == "leaf" ? "leaf" : "split";
+  in.keyword(kind);
+  if (kind == "split") {
+    node->feature = in.count(kind);
+    node->threshold = in.real(kind);
   }
-  if (tokens.front() != "split" || tokens.size() != 6)
-    throw ParseError("model: bad tree line");
-  node->feature = static_cast<std::size_t>(parse_int(tokens[1]));
-  node->threshold = dec(tokens[2]);
-  node->cls = class_index(tokens[3], classes, "split");
-  node->n = static_cast<std::size_t>(parse_int(tokens[4]));
-  node->errors = static_cast<std::size_t>(parse_int(tokens[5]));
-  node->left = read_j48_node(reader, classes);
-  node->right = read_j48_node(reader, classes);
+  node->cls = read_class(in, classes, kind);
+  node->n = in.count(kind);
+  node->errors = in.count(kind);
+  in.end_line();
+  if (kind == "split") {
+    node->left = read_j48_node(in, classes);
+    node->right = read_j48_node(in, classes);
+  }
+  in.leave();
   return node;
 }
 
-/// Scheme-dispatched body save/load (kSchemeIo), shared by the top-level
-/// entry points and nested committee members. save_body returns false for
-/// a scheme without a serialization.
-bool save_body(std::ostream& out, const Classifier& clf);
-std::unique_ptr<Classifier> load_body(Reader& reader,
-                                      const std::string& scheme,
-                                      std::size_t classes);
+/// One row per serializable scheme, keyed by the name the file header
+/// carries (Classifier::name() of the unwrapped model).
+struct SchemeIo {
+  const char* scheme;
+  void (*save)(std::ostream& out, const Classifier& clf);
+  std::unique_ptr<Classifier> (*load)(TokenReader& in, std::size_t classes);
+};
+
+/// Scheme-dispatched body save (kSchemeIo) for the top level and committee
+/// members; throws PreconditionError for a scheme without a serialization.
+void save_body(std::ostream& out, const Classifier& clf);
+/// The kSchemeIo row named by the last token of the current line.
+const SchemeIo& read_scheme(TokenReader& in, std::string_view field);
 
 }  // namespace
 
@@ -205,14 +159,11 @@ std::unique_ptr<Classifier> load_body(Reader& reader,
 /// one save/load pair per scheme. load() fills a freshly constructed
 /// model; the scheme and class count come from the file header.
 struct ModelIo {
-  static Standardizer read_standardizer(Reader& reader) {
+  static Standardizer read_standardizer(TokenReader& in) {
     Standardizer s;
-    for (const auto& t : reader.expect("standardizer_mean"))
-      s.mean_.push_back(dec(t));
-    for (const auto& t : reader.expect("standardizer_sd"))
-      s.stddev_.push_back(dec(t));
-    if (s.mean_.size() != s.stddev_.size())
-      throw ParseError("model: standardizer width mismatch");
+    s.mean_ = in.reals_line("standardizer_mean");
+    if (s.mean_.empty()) in.fail("standardizer_mean", "no features");
+    s.stddev_ = read_vector(in, "standardizer_sd", s.mean_.size());
     return s;
   }
 
@@ -221,52 +172,50 @@ struct ModelIo {
     out << "majority " << m.majority_ << '\n';
     write_vector(out, "priors", m.priors_);
   }
-  static void load(Reader& reader, std::size_t classes, ZeroR& m) {
-    m.majority_ = class_index(reader.expect_size("majority"), classes,
-                              "majority");
-    const auto tokens = reader.expect("priors");
-    for (const auto& t : tokens) m.priors_.push_back(dec(t));
-    if (m.priors_.size() != classes)
-      throw ParseError("model: prior count mismatch");
+  static void load(TokenReader& in, std::size_t classes, ZeroR& m) {
+    in.line("majority");
+    m.majority_ = read_class(in, classes, "majority");
+    in.end_line();
+    m.priors_ = read_vector(in, "priors", classes);
   }
 
   static void save(std::ostream& out, const OneR& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained OneR");
     out << "feature " << m.feature_ << '\n';
-    out << "training_error " << enc(m.training_error_) << '\n';
+    out << "training_error " << hexfloat(m.training_error_) << '\n';
     out << "intervals " << m.intervals_.size() << '\n';
     for (const auto& iv : m.intervals_)
-      out << "interval " << enc(iv.upper_bound) << ' ' << iv.cls << '\n';
+      out << "interval " << hexfloat(iv.upper_bound) << ' ' << iv.cls << '\n';
   }
-  static void load(Reader& reader, std::size_t classes, OneR& m) {
+  static void load(TokenReader& in, std::size_t classes, OneR& m) {
     m.num_classes_ = classes;
-    m.feature_ = reader.expect_size("feature");
-    m.training_error_ = dec(reader.expect("training_error").at(0));
-    const std::size_t n = reader.expect_size("intervals");
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto tokens = reader.expect("interval");
-      if (tokens.size() != 2) throw ParseError("model: bad interval");
+    m.feature_ = in.count_line("feature");
+    m.training_error_ = in.real_line("training_error");
+    const std::uint64_t n = in.count_line("intervals");
+    if (n == 0) in.fail("intervals", "OneR needs an interval");
+    for (std::uint64_t i = 0; i < n; ++i) {
+      in.line("interval");
       m.intervals_.push_back(
-          {.upper_bound = dec(tokens[0]),
-           .cls = class_index(tokens[1], classes, "interval")});
+          {.upper_bound = in.real("interval"),
+           .cls = read_class(in, classes, "interval")});
+      in.end_line();
     }
-    if (m.intervals_.empty()) throw ParseError("model: OneR no intervals");
     m.trained_ = true;
   }
 
   static void save(std::ostream& out, const DecisionStump& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained DecisionStump");
-    out << "split " << m.feature_ << ' ' << enc(m.threshold_) << ' '
+    out << "split " << m.feature_ << ' ' << hexfloat(m.threshold_) << ' '
         << m.left_class_ << ' ' << m.right_class_ << '\n';
   }
-  static void load(Reader& reader, std::size_t classes, DecisionStump& m) {
+  static void load(TokenReader& in, std::size_t classes, DecisionStump& m) {
     m.num_classes_ = classes;
-    const auto tokens = reader.expect("split");
-    if (tokens.size() != 4) throw ParseError("model: bad stump");
-    m.feature_ = static_cast<std::size_t>(parse_int(tokens[0]));
-    m.threshold_ = dec(tokens[1]);
-    m.left_class_ = class_index(tokens[2], classes, "split");
-    m.right_class_ = class_index(tokens[3], classes, "split");
+    in.line("split");
+    m.feature_ = in.count("split");
+    m.threshold_ = in.real("split");
+    m.left_class_ = read_class(in, classes, "split");
+    m.right_class_ = read_class(in, classes, "split");
+    in.end_line();
     m.trained_ = true;
   }
 
@@ -274,9 +223,9 @@ struct ModelIo {
     HMD_REQUIRE(m.root_ != nullptr, "save_model: untrained J48");
     write_j48_node(out, *m.root_);
   }
-  static void load(Reader& reader, std::size_t classes, J48& m) {
+  static void load(TokenReader& in, std::size_t classes, J48& m) {
     m.num_classes_ = classes;
-    m.root_ = read_j48_node(reader, classes);
+    m.root_ = read_j48_node(in, classes);
   }
 
   static void save(std::ostream& out, const JRip& m) {
@@ -287,27 +236,27 @@ struct ModelIo {
       out << "rule " << rule.cls << ' ' << rule.conditions.size() << '\n';
       for (const auto& cond : rule.conditions)
         out << "cond " << cond.feature << ' ' << (cond.greater ? 1 : 0)
-            << ' ' << enc(cond.threshold) << '\n';
+            << ' ' << hexfloat(cond.threshold) << '\n';
     }
   }
-  static void load(Reader& reader, std::size_t classes, JRip& m) {
+  static void load(TokenReader& in, std::size_t classes, JRip& m) {
     m.num_classes_ = classes;
-    m.default_class_ =
-        class_index(reader.expect_size("default"), classes, "default");
-    const std::size_t n_rules = reader.expect_size("rules");
-    for (std::size_t r = 0; r < n_rules; ++r) {
-      const auto head = reader.expect("rule");
-      if (head.size() != 2) throw ParseError("model: bad rule header");
+    in.line("default");
+    m.default_class_ = read_class(in, classes, "default");
+    in.end_line();
+    const std::uint64_t n_rules = in.count_line("rules");
+    for (std::uint64_t r = 0; r < n_rules; ++r) {
+      in.line("rule");
       JRip::Rule rule;
-      rule.cls = class_index(head[0], classes, "rule");
-      const auto n_conds = static_cast<std::size_t>(parse_int(head[1]));
-      for (std::size_t c = 0; c < n_conds; ++c) {
-        const auto tokens = reader.expect("cond");
-        if (tokens.size() != 3) throw ParseError("model: bad condition");
-        rule.conditions.push_back(
-            {.feature = static_cast<std::size_t>(parse_int(tokens[0])),
-             .greater = parse_int(tokens[1]) != 0,
-             .threshold = dec(tokens[2])});
+      rule.cls = read_class(in, classes, "rule");
+      const std::uint64_t n_conds = in.count("rule");
+      in.end_line();
+      for (std::uint64_t c = 0; c < n_conds; ++c) {
+        in.line("cond");
+        rule.conditions.push_back({.feature = in.count("cond"),
+                                   .greater = in.flag("cond"),
+                                   .threshold = in.real("cond")});
+        in.end_line();
       }
       m.rules_.push_back(std::move(rule));
     }
@@ -320,46 +269,28 @@ struct ModelIo {
     write_matrix(out, "means", m.mean_);
     write_matrix(out, "variances", m.var_);
   }
-  static void load(Reader& reader, std::size_t classes, NaiveBayes& m) {
-    const auto tokens = reader.expect("priors");
-    for (const auto& t : tokens) m.priors_.push_back(dec(t));
-    m.mean_ = read_matrix(reader, "means");
-    m.var_ = read_matrix(reader, "variances");
-    if (m.priors_.size() != classes || m.mean_.size() != classes ||
-        m.var_.size() != classes)
-      throw ParseError("model: NaiveBayes shape mismatch");
-    require_row_width(m.var_, m.mean_.front().size(), "variances");
+  static void load(TokenReader& in, std::size_t classes, NaiveBayes& m) {
+    m.priors_ = read_vector(in, "priors", classes);
+    m.mean_ = read_matrix(in, "means", classes, kAny);
+    m.var_ = read_matrix(in, "variances", classes, m.mean_.front().size());
   }
 
   // MLR and SVM share one body: a standardizer plus one d+1 wide weight
   // row (bias last) per class.
   template <class Linear>
-  static void save_linear(std::ostream& out, const Linear& m) {
+    requires std::same_as<Linear, Logistic> || std::same_as<Linear, LinearSvm>
+  static void save(std::ostream& out, const Linear& m) {
     HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained " + m.name());
     write_standardizer(out, m.standardizer_);
     write_matrix(out, "weights", m.weights_);
   }
   template <class Linear>
-  static void load_linear(Reader& reader, std::size_t classes, Linear& m) {
-    m.standardizer_ = read_standardizer(reader);
-    m.weights_ = read_matrix(reader, "weights");
-    if (m.weights_.size() != classes)
-      throw ParseError("model: " + m.name() + " shape mismatch");
-    require_row_width(m.weights_, m.standardizer_.num_features() + 1,
-                      "weights");
+    requires std::same_as<Linear, Logistic> || std::same_as<Linear, LinearSvm>
+  static void load(TokenReader& in, std::size_t classes, Linear& m) {
+    m.standardizer_ = read_standardizer(in);
+    m.weights_ = read_matrix(in, "weights", classes,
+                             m.standardizer_.num_features() + 1);
     m.build_packed();
-  }
-  static void save(std::ostream& out, const Logistic& m) {
-    save_linear(out, m);
-  }
-  static void load(Reader& reader, std::size_t classes, Logistic& m) {
-    load_linear(reader, classes, m);
-  }
-  static void save(std::ostream& out, const LinearSvm& m) {
-    save_linear(out, m);
-  }
-  static void load(Reader& reader, std::size_t classes, LinearSvm& m) {
-    load_linear(reader, classes, m);
   }
 
   static void save(std::ostream& out, const Mlp& m) {
@@ -368,14 +299,11 @@ struct ModelIo {
     write_matrix(out, "w1", m.w1_);
     write_matrix(out, "w2", m.w2_);
   }
-  static void load(Reader& reader, std::size_t classes, Mlp& m) {
-    m.standardizer_ = read_standardizer(reader);
-    m.w1_ = read_matrix(reader, "w1");
-    m.w2_ = read_matrix(reader, "w2");
-    if (m.w2_.size() != classes)
-      throw ParseError("model: MLP shape mismatch");
-    require_row_width(m.w1_, m.standardizer_.num_features() + 1, "w1");
-    require_row_width(m.w2_, m.w1_.size() + 1, "w2");
+  static void load(TokenReader& in, std::size_t classes, Mlp& m) {
+    m.standardizer_ = read_standardizer(in);
+    m.w1_ = read_matrix(in, "w1", kAny,
+                        m.standardizer_.num_features() + 1);
+    m.w2_ = read_matrix(in, "w2", classes, m.w1_.size() + 1);
     m.build_packed();
   }
 
@@ -386,95 +314,69 @@ struct ModelIo {
     out << "labels";
     for (std::size_t l : m.labels_) out << ' ' << l;
     out << '\n';
-    // points_ is stored flat row-major; the on-disk format stays one row
-    // per reference point.
-    write_matrix(out, "points",
-                 unflatten(m.points_, m.standardizer_.means().size()));
+    write_rows(out, "points", m.points_, m.standardizer_.num_features());
   }
-  static void load(Reader& reader, std::size_t classes, Knn& m) {
+  static void load(TokenReader& in, std::size_t classes, Knn& m) {
     m.num_classes_ = classes;
-    m.k_ = reader.expect_size("k");
-    m.standardizer_ = read_standardizer(reader);
-    const auto tokens = reader.expect("labels");
-    for (const auto& t : tokens)
-      m.labels_.push_back(static_cast<std::size_t>(parse_int(t)));
-    const auto rows = read_matrix(reader, "points");
-    if (rows.size() != m.labels_.size() || rows.empty())
-      throw ParseError("model: IBk shape mismatch");
-    const std::size_t dim = rows.front().size();
-    m.points_.reserve(rows.size() * dim);
-    for (const auto& row : rows) {
-      if (row.size() != dim)
-        throw ParseError("model: IBk ragged points matrix");
+    m.k_ = in.count_line("k");
+    m.standardizer_ = read_standardizer(in);
+    in.line("labels");
+    while (!in.peek().empty())
+      m.labels_.push_back(read_class(in, classes, "labels"));
+    // The scorer reserves k heap slots per query: k beyond the store is a
+    // file no training run writes.
+    if (m.k_ == 0 || m.k_ > m.labels_.size())
+      in.fail("k", "must be in [1, " + std::to_string(m.labels_.size()) + "]");
+    for (const auto& row : read_matrix(in, "points", m.labels_.size(),
+                                       m.standardizer_.num_features()))
       m.points_.insert(m.points_.end(), row.begin(), row.end());
-    }
     m.build_quantized();
     m.build_index();
-    for (std::size_t l : m.labels_)
-      if (l >= classes) throw ParseError("model: IBk label out of range");
   }
 
-  // ----- committees: alphas (AdaBoost only) plus each member as a nested
-  // "member <scheme>" block reusing the member scheme's own format.
-  static void save_committee(
-      std::ostream& out, const std::vector<std::unique_ptr<Classifier>>& members,
-      const std::vector<double>* alphas) {
-    out << "members " << members.size() << '\n';
-    if (alphas != nullptr) write_vector(out, "alphas", *alphas);
-    for (const auto& member : members) {
+  // ----- committees: "members <n>", the alphas (AdaBoost only), then each
+  // member as a nested "member <scheme>" block in its scheme's own format.
+  template <class Committee>
+    requires std::same_as<Committee, AdaBoostM1> ||
+             std::same_as<Committee, Bagging>
+  static void save(std::ostream& out, const Committee& m) {
+    HMD_REQUIRE(!m.members_.empty(), "save_model: untrained " + m.name());
+    out << "members " << m.members_.size() << '\n';
+    if constexpr (std::same_as<Committee, AdaBoostM1>)
+      write_vector(out, "alphas", m.alphas_);
+    for (const auto& member : m.members_) {
       out << "member " << member->name() << '\n';
-      if (!save_body(out, *member))
-        throw PreconditionError("save_model: no serialization for member " +
-                                member->name());
+      save_body(out, *member);
     }
   }
-  static std::vector<std::unique_ptr<Classifier>> load_committee(
-      Reader& reader, std::size_t classes, std::vector<double>* alphas) {
-    const std::size_t n_members = reader.expect_size("members");
-    if (n_members == 0) throw ParseError("model: empty committee");
-    if (alphas != nullptr) *alphas = read_vector(reader, "alphas", n_members);
-    std::vector<std::unique_ptr<Classifier>> members;
-    members.reserve(n_members);
-    for (std::size_t i = 0; i < n_members; ++i) {
-      const auto head = reader.expect("member");
-      if (head.size() != 1) throw ParseError("model: bad member header");
-      members.push_back(load_body(reader, head[0], classes));
+  template <class Committee>
+    requires std::same_as<Committee, AdaBoostM1> ||
+             std::same_as<Committee, Bagging>
+  static void load(TokenReader& in, std::size_t classes, Committee& m) {
+    m.num_classes_ = classes;
+    const std::uint64_t n_members = in.count_line("members");
+    if (n_members == 0) in.fail("members", "empty committee");
+    if constexpr (std::same_as<Committee, AdaBoostM1>)
+      m.alphas_ = read_vector(in, "alphas", n_members);
+    for (std::uint64_t i = 0; i < n_members; ++i) {
+      in.line("member");
+      in.enter("member");
+      m.members_.push_back(read_scheme(in, "member").load(in, classes));
+      in.leave();
     }
-    return members;
-  }
-  static void save(std::ostream& out, const AdaBoostM1& m) {
-    HMD_REQUIRE(!m.members_.empty(), "save_model: untrained AdaBoostM1");
-    save_committee(out, m.members_, &m.alphas_);
-  }
-  static void load(Reader& reader, std::size_t classes, AdaBoostM1& m) {
-    m.num_classes_ = classes;
-    m.members_ = load_committee(reader, classes, &m.alphas_);
-  }
-  static void save(std::ostream& out, const Bagging& m) {
-    HMD_REQUIRE(!m.members_.empty(), "save_model: untrained Bagging");
-    save_committee(out, m.members_, nullptr);
-  }
-  static void load(Reader& reader, std::size_t classes, Bagging& m) {
-    m.num_classes_ = classes;
-    m.members_ = load_committee(reader, classes, nullptr);
   }
 
-  // ----- one-class family: binary by construction; every block ends with
-  // the calibrated sigmoid.
+  // ----- one-class family: binary by construction (load_as checks the
+  // class count); every block ends with the calibrated sigmoid.
   static void save_calibration(std::ostream& out,
                                const OneClassClassifier& m) {
-    out << "threshold " << enc(m.threshold_) << '\n';
-    out << "scale " << enc(m.scale_) << '\n';
+    out << "threshold " << hexfloat(m.threshold_) << '\n';
+    out << "scale " << hexfloat(m.scale_) << '\n';
   }
-  static void load_calibration(Reader& reader, OneClassClassifier& m) {
-    m.threshold_ = dec(reader.expect("threshold").at(0));
-    m.scale_ = dec(reader.expect("scale").at(0));
-    if (m.scale_ <= 0.0)
-      throw ParseError("model: one-class scale must be positive");
-  }
-  static void require_binary(std::size_t classes, const Classifier& m) {
-    if (classes != 2)
-      throw ParseError("model: " + m.name() + " must be binary");
+  static void load_calibration(TokenReader& in, OneClassClassifier& m) {
+    m.threshold_ = in.real_line("threshold");
+    m.scale_ = in.real_line("scale");
+    if (m.scale_ <= 0.0) in.fail("scale", "must be positive");
   }
 
   static void save(std::ostream& out, const OneClassSvm& m) {
@@ -482,84 +384,62 @@ struct ModelIo {
     write_vector(out, "mean", m.mean_);
     write_vector(out, "sd", m.sd_);
     write_vector(out, "weights", m.weights_);
-    out << "rho " << enc(m.rho_) << '\n';
+    out << "rho " << hexfloat(m.rho_) << '\n';
     save_calibration(out, m);
   }
-  static void load(Reader& reader, std::size_t classes, OneClassSvm& m) {
-    require_binary(classes, m);
-    for (const auto& t : reader.expect("mean")) m.mean_.push_back(dec(t));
-    m.sd_ = read_vector(reader, "sd", m.mean_.size());
-    m.weights_ = read_vector(reader, "weights", 2 * m.mean_.size());
-    if (m.mean_.empty())
-      throw ParseError("model: OneClassSvm shape mismatch");
-    m.rho_ = dec(reader.expect("rho").at(0));
-    load_calibration(reader, m);
+  static void load(TokenReader& in, std::size_t, OneClassSvm& m) {
+    m.mean_ = in.reals_line("mean");
+    if (m.mean_.empty()) in.fail("mean", "no features");
+    m.sd_ = read_vector(in, "sd", m.mean_.size());
+    m.weights_ = read_vector(in, "weights", 2 * m.mean_.size());
+    m.rho_ = in.real_line("rho");
+    load_calibration(in, m);
   }
 
   static void save(std::ostream& out, const KdeAnomaly& m) {
     HMD_REQUIRE(m.calibrated(), "save_model: untrained KdeAnomaly");
     write_vector(out, "mean", m.mean_);
     write_vector(out, "sd", m.sd_);
-    out << "bandwidth " << enc(m.bandwidth_) << '\n';
-    write_matrix(out, "points", unflatten(m.points_, m.mean_.size()));
+    out << "bandwidth " << hexfloat(m.bandwidth_) << '\n';
+    write_rows(out, "points", m.points_, m.mean_.size());
     save_calibration(out, m);
   }
-  static void load(Reader& reader, std::size_t classes, KdeAnomaly& m) {
-    require_binary(classes, m);
-    for (const auto& t : reader.expect("mean")) m.mean_.push_back(dec(t));
-    m.sd_ = read_vector(reader, "sd", m.mean_.size());
-    m.bandwidth_ = dec(reader.expect("bandwidth").at(0));
-    if (m.mean_.empty() || m.bandwidth_ <= 0.0)
-      throw ParseError("model: KdeAnomaly shape mismatch");
-    const auto rows = read_matrix(reader, "points");
-    if (rows.empty()) throw ParseError("model: KdeAnomaly has no points");
-    m.points_.reserve(rows.size() * m.mean_.size());
-    for (const auto& row : rows) {
-      if (row.size() != m.mean_.size())
-        throw ParseError("model: KdeAnomaly point width mismatch");
+  static void load(TokenReader& in, std::size_t, KdeAnomaly& m) {
+    m.mean_ = in.reals_line("mean");
+    if (m.mean_.empty()) in.fail("mean", "no features");
+    m.sd_ = read_vector(in, "sd", m.mean_.size());
+    m.bandwidth_ = in.real_line("bandwidth");
+    if (m.bandwidth_ <= 0.0) in.fail("bandwidth", "must be positive");
+    const auto rows = read_matrix(in, "points", kAny, m.mean_.size());
+    if (rows.empty()) in.fail("points", "KdeAnomaly has no points");
+    for (const auto& row : rows)
       m.points_.insert(m.points_.end(), row.begin(), row.end());
-    }
-    load_calibration(reader, m);
+    load_calibration(in, m);
   }
 
   static void save(std::ostream& out, const MahalanobisThreshold& m) {
     HMD_REQUIRE(m.calibrated(), "save_model: untrained MahalanobisThreshold");
     write_vector(out, "mean", m.mean_);
-    std::vector<std::vector<double>> precision(m.precision_.rows());
-    for (std::size_t r = 0; r < m.precision_.rows(); ++r) {
-      const auto row = m.precision_.row(r);
-      precision[r].assign(row.begin(), row.end());
-    }
-    write_matrix(out, "precision", precision);
+    const std::size_t d = m.precision_.rows();
+    out << "precision " << d << ' ' << d << '\n';
+    for (std::size_t r = 0; r < d; ++r)
+      write_vector(out, "row", m.precision_.row(r));
     save_calibration(out, m);
   }
-  static void load(Reader& reader, std::size_t classes,
-                   MahalanobisThreshold& m) {
-    require_binary(classes, m);
-    for (const auto& t : reader.expect("mean")) m.mean_.push_back(dec(t));
-    const auto precision = read_matrix(reader, "precision");
-    if (precision.size() != m.mean_.size() || m.mean_.empty())
-      throw ParseError("model: MahalanobisThreshold shape mismatch");
-    m.precision_ = Matrix(precision.size(), precision.size());
-    for (std::size_t r = 0; r < precision.size(); ++r) {
-      if (precision[r].size() != m.mean_.size())
-        throw ParseError("model: MahalanobisThreshold precision not square");
-      for (std::size_t c = 0; c < precision[r].size(); ++c)
-        m.precision_(r, c) = precision[r][c];
-    }
-    load_calibration(reader, m);
+  static void load(TokenReader& in, std::size_t, MahalanobisThreshold& m) {
+    m.mean_ = in.reals_line("mean");
+    if (m.mean_.empty()) in.fail("mean", "no features");
+    const std::size_t d = m.mean_.size();
+    const auto precision = read_matrix(in, "precision", d, d);
+    m.precision_ = Matrix(d, d);
+    for (std::size_t r = 0; r < d; ++r)
+      std::copy(precision[r].begin(), precision[r].end(),
+                m.precision_.mutable_row(r).begin());
+    load_calibration(in, m);
   }
 };
 
 namespace {
-
-/// One row per serializable scheme, keyed by the name the file header
-/// carries (Classifier::name() of the unwrapped model).
-struct SchemeIo {
-  const char* scheme;
-  void (*save)(std::ostream& out, const Classifier& clf);
-  std::unique_ptr<Classifier> (*load)(Reader& reader, std::size_t classes);
-};
 
 template <class M>
 void save_as(std::ostream& out, const Classifier& clf) {
@@ -567,7 +447,7 @@ void save_as(std::ostream& out, const Classifier& clf) {
 }
 
 template <class M>
-std::unique_ptr<Classifier> load_as(Reader& reader, std::size_t classes) {
+std::unique_ptr<Classifier> load_as(TokenReader& in, std::size_t classes) {
   std::unique_ptr<M> m;
   if constexpr (std::is_default_constructible_v<M>) {
     m = std::make_unique<M>();
@@ -576,7 +456,9 @@ std::unique_ptr<Classifier> load_as(Reader& reader, std::size_t classes) {
     // committee is inference-only until train() is called on a fresh one.
     m = std::make_unique<M>(BaseFactory{});
   }
-  ModelIo::load(reader, classes, *m);
+  if (std::is_base_of_v<OneClassClassifier, M> && classes != 2)
+    in.fail("classes", m->name() + " must be binary");
+  ModelIo::load(in, classes, *m);
   return m;
 }
 
@@ -603,26 +485,26 @@ const SchemeIo kSchemeIo[] = {
     io<MahalanobisThreshold>("MahalanobisThreshold"),
 };
 
-const SchemeIo* find_io(const std::string& scheme) {
+const SchemeIo* find_io(std::string_view scheme) {
   for (const SchemeIo& row : kSchemeIo)
     if (scheme == row.scheme) return &row;
   return nullptr;
 }
 
-bool save_body(std::ostream& out, const Classifier& clf) {
+void save_body(std::ostream& out, const Classifier& clf) {
   const SchemeIo* row = find_io(clf.unwrap().name());
-  if (row == nullptr) return false;
+  if (row == nullptr)
+    throw PreconditionError("save_model: no serialization for " + clf.name());
   row->save(out, clf);
-  return true;
 }
 
-std::unique_ptr<Classifier> load_body(Reader& reader,
-                                      const std::string& scheme,
-                                      std::size_t classes) {
+const SchemeIo& read_scheme(TokenReader& in, std::string_view field) {
+  const std::string scheme = in.word(field);
+  in.end_line();
   const SchemeIo* row = find_io(scheme);
   if (row == nullptr)
-    throw ParseError("model: unsupported scheme '" + scheme + "'");
-  return row->load(reader, classes);
+    in.fail(field, "unsupported scheme '" + scheme + "'");
+  return *row;
 }
 
 }  // namespace
@@ -632,38 +514,28 @@ void save_model(std::ostream& out, const Classifier& clf) {
   out << "hmd-model v1\n";
   out << "scheme " << clf.name() << '\n';
   out << "classes " << clf.num_classes() << '\n';
-
-  if (!save_body(out, clf))
-    throw PreconditionError("save_model: no serialization for " + clf.name());
-
+  save_body(out, clf);
   out << "end\n";
 }
 
-namespace {
-
-/// The actual parser; throws ParseError on malformed input.
-std::unique_ptr<Classifier> load_model_impl(std::istream& in) {
-  Reader reader(in);
-  {
-    const auto header = reader.line();
-    if (header.size() != 2 || header[0] != "hmd-model" || header[1] != "v1")
-      throw ParseError("model: bad header (expected 'hmd-model v1')");
-  }
-  const auto scheme_tokens = reader.expect("scheme");
-  if (scheme_tokens.size() != 1) throw ParseError("model: bad scheme line");
-  const std::size_t classes = reader.expect_size("classes");
-  if (classes < 2) throw ParseError("model: class count must be >= 2");
-
-  std::unique_ptr<Classifier> model =
-      load_body(reader, scheme_tokens[0], classes);
-  reader.expect("end");
+std::unique_ptr<Classifier> read_model(TokenReader& in) {
+  in.header("hmd-model", {"v1"});
+  in.line("scheme");
+  const SchemeIo& scheme = read_scheme(in, "scheme");
+  const std::uint64_t classes = in.count_line("classes");
+  if (classes < 2 || classes > kMaxClasses)
+    in.fail("classes", "must be in [2, " + std::to_string(kMaxClasses) + "]");
+  std::unique_ptr<Classifier> model = scheme.load(in, classes);
+  in.line("end");
+  in.end_line();
   return model;
 }
 
-}  // namespace
-
 Result<std::unique_ptr<Classifier>> try_load_model(std::istream& in) {
-  return capture_result([&in] { return load_model_impl(in); })
+  return capture_result([&in] {
+           TokenReader reader(in, "model");
+           return read_model(reader);
+         })
       .with_context("loading model");
 }
 

@@ -16,9 +16,11 @@
 // deployment bundles). serialization.cpp keeps one save/load row per
 // scheme, keyed by the scheme name the header carries.
 // Round-trip is exact: a loaded model produces bit-identical predictions
-// (all parameters serialize via hex-encoded doubles). The loader rejects
-// shapes a model could not score: weight rows that do not match the
-// standardizer width, and class indices outside `classes`.
+// (all parameters serialize via hex-encoded doubles). The file is read by
+// util/token_reader.hpp under the grammar it shares with bundles and
+// snapshots; the loader also rejects shapes a model could not score:
+// weight rows that do not match the standardizer width, and class indices
+// outside `classes`.
 #pragma once
 
 #include <iosfwd>
@@ -26,6 +28,7 @@
 
 #include "ml/classifier.hpp"
 #include "util/result.hpp"
+#include "util/token_reader.hpp"
 
 namespace hmd::ml {
 
@@ -38,6 +41,10 @@ void save_model(std::ostream& out, const Classifier& clf);
 /// ErrorInfo (ErrCode::kParse) with a "loading model" context frame — the
 /// primary load API; the resilience layer branches on it without unwinding.
 Result<std::unique_ptr<Classifier>> try_load_model(std::istream& in);
+
+/// Read one model from `reader` (throws ParseError). The bundle loader
+/// passes its own, so errors name the bundle's line numbers.
+std::unique_ptr<Classifier> read_model(TokenReader& reader);
 
 /// Thin throwing wrapper over try_load_model: raises hmd::ParseError on
 /// malformed input. Kept so pre-Result call sites compile unchanged.

@@ -56,7 +56,24 @@ void PageHinkley::reset() {
   state_.trips = trips;
 }
 
-void PageHinkley::restore(const State& state) { state_ = state; }
+namespace {
+
+/// Restored states may be built in code, past the snapshot reader: a NaN
+/// stays in Page–Hinkley's sums for good, and hangs the KS merge sweep.
+void require_not_nan(double v, const char* field) {
+  if (std::isnan(v))
+    throw PreconditionError(std::string(field) + ": NaN in restored state");
+}
+
+}  // namespace
+
+void PageHinkley::restore(const State& state) {
+  require_not_nan(state.mean, "PageHinkley::State.mean");
+  require_not_nan(state.cumulative, "PageHinkley::State.cumulative");
+  require_not_nan(state.minimum, "PageHinkley::State.minimum");
+  require_not_nan(state.last_deviation, "PageHinkley::State.last_deviation");
+  state_ = state;
+}
 
 // ---------------------------------------------------------------------------
 // Windowed two-sample KS
@@ -168,6 +185,10 @@ void KsWindowDetector::restore(const State& state) {
   if (state.reference.size() > config_.window ||
       state.current.size() > config_.window)
     throw PreconditionError("ks snapshot larger than configured window");
+  for (double v : state.reference)
+    require_not_nan(v, "KsWindowDetector::State.reference");
+  for (double v : state.current)
+    require_not_nan(v, "KsWindowDetector::State.current");
   reference_ = state.reference;
   ring_ = state.current;
   head_ = 0;  // chronological layout: next overwrite is the oldest slot

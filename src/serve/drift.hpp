@@ -87,6 +87,7 @@ class PageHinkley {
   double deviation() const { return state_.last_deviation; }
 
   const State& state() const { return state_; }
+  /// Throws PreconditionError naming any NaN field of `state`.
   void restore(const State& state);
   const PageHinkleyConfig& config() const { return config_; }
 
@@ -136,6 +137,7 @@ class KsWindowDetector {
   double last_statistic() const { return last_statistic_; }
 
   State state() const;
+  /// Throws PreconditionError on a sample past the window or holding NaN.
   void restore(const State& state);
   const KsConfig& config() const { return config_; }
 

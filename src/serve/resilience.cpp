@@ -1,16 +1,14 @@
 #include "serve/resilience.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <thread>
 
 #include "core/deployment.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
+#include "util/token_reader.hpp"
 
 namespace hmd::serve {
 
@@ -92,15 +90,10 @@ std::uint64_t ModelHub::version() const {
 
 namespace {
 
-/// Doubles in snapshots use hexfloat ("%a"): exact round-trip, so restored
-/// drift baselines continue bit-identically (same contract as model
-/// serialization in ml/serialization.cpp).
-std::string hex_double(double v) { return format("%a", v); }
-
 void write_hex_vector(std::ostream& out, const char* keyword,
                       const std::vector<double>& values) {
   out << keyword << " " << values.size();
-  for (double v : values) out << " " << hex_double(v);
+  for (double v : values) out << " " << hexfloat(v);
   out << "\n";
 }
 
@@ -132,13 +125,13 @@ void EngineSnapshot::write(std::ostream& out) const {
           << " cooldown_left " << st.cooldown_left << " suppressed "
           << st.suppressed << "\n";
       out << "ph count " << st.page_hinkley.count << " mean "
-          << hex_double(st.page_hinkley.mean) << " cumulative "
-          << hex_double(st.page_hinkley.cumulative) << " minimum "
-          << hex_double(st.page_hinkley.minimum) << " last_deviation "
-          << hex_double(st.page_hinkley.last_deviation) << " trips "
+          << hexfloat(st.page_hinkley.mean) << " cumulative "
+          << hexfloat(st.page_hinkley.cumulative) << " minimum "
+          << hexfloat(st.page_hinkley.minimum) << " last_deviation "
+          << hexfloat(st.page_hinkley.last_deviation) << " trips "
           << st.page_hinkley.trips << "\n";
       out << "ks observed " << st.ks.observed << " last_statistic "
-          << hex_double(st.ks.last_statistic) << " trips " << st.ks.trips
+          << hexfloat(st.ks.last_statistic) << " trips " << st.ks.trips
           << "\n";
       write_hex_vector(out, "ks_reference", st.ks.reference);
       write_hex_vector(out, "ks_current", st.ks.current);
@@ -156,239 +149,108 @@ void EngineSnapshot::write(std::ostream& out) const {
 
 namespace {
 
-[[noreturn]] void snapshot_fail(const std::string& what) {
-  throw ParseError("snapshot: " + what);
-}
-
-/// Reads "<keyword> <value>" from `line`, failing loudly on drift — a
-/// snapshot is a restart-critical artifact, so silent misparses are worse
-/// than rejects.
-std::uint64_t expect_field(std::istringstream& line, const char* keyword) {
-  std::string word;
-  if (!(line >> word) || word != keyword)
-    snapshot_fail(std::string("expected field '") + keyword + "'");
-  std::uint64_t value = 0;
-  if (!(line >> value))
-    snapshot_fail(std::string("bad value for field '") + keyword + "'");
-  return value;
-}
-
-/// Reads "<keyword> <hexfloat>" (strtod accepts the "%a" encoding).
-double expect_double_field(std::istringstream& line, const char* keyword) {
-  std::string word;
-  if (!(line >> word) || word != keyword)
-    snapshot_fail(std::string("expected field '") + keyword + "'");
-  if (!(line >> word))
-    snapshot_fail(std::string("bad value for field '") + keyword + "'");
-  char* end = nullptr;
-  const double value = std::strtod(word.c_str(), &end);
-  if (end == nullptr || *end != '\0')
-    snapshot_fail(std::string("bad double for field '") + keyword + "'");
-  return value;
-}
-
-/// Reads "<keyword> <n> <hexfloat>*n".
-std::vector<double> expect_hex_vector(std::istringstream& line,
-                                      const char* keyword) {
-  std::string word;
-  if (!(line >> word) || word != keyword)
-    snapshot_fail(std::string("expected field '") + keyword + "'");
-  std::size_t count = 0;
-  if (!(line >> count))
-    snapshot_fail(std::string("bad count for field '") + keyword + "'");
-  std::vector<double> values;
-  values.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(line >> word))
-      snapshot_fail(std::string("truncated vector for field '") + keyword +
-                    "'");
-    char* end = nullptr;
-    values.push_back(std::strtod(word.c_str(), &end));
-    if (end == nullptr || *end != '\0')
-      snapshot_fail(std::string("bad double in field '") + keyword + "'");
+StreamSnapshot read_stream(TokenReader& reader) {
+  StreamSnapshot s;
+  core::OnlineDetector::State& d = s.detector;
+  reader.line("stream");
+  s.id = reader.count("stream");
+  s.accepted = reader.count_field("accepted");
+  s.evicted = reader.count_field("evicted");
+  s.high_water = reader.count_field("high_water");
+  d.windows = reader.count_field("windows");
+  d.flagged = reader.count_field("flagged");
+  d.streak = reader.count_field("streak");
+  reader.keyword("alarmed");
+  d.alarmed = reader.flag("alarmed");
+  reader.keyword("alarm_window");
+  if (reader.peek() == "-") {
+    reader.word("alarm_window");
+    d.alarm_window = core::OnlineDetector::kNoAlarm;
+  } else {
+    d.alarm_window = reader.count("alarm_window");
   }
-  return values;
+  reader.end_line();
+  // Cross-field consistency is OnlineDetector::restore's job; reject
+  // here so a corrupt snapshot fails at load, not mid-restore.
+  if (d.alarmed != (d.alarm_window != core::OnlineDetector::kNoAlarm) ||
+      d.flagged > d.windows || d.streak > d.flagged)
+    reader.fail("stream", "inconsistent detector state for stream " +
+                              std::to_string(s.id));
+  return s;
 }
 
-void expect_line_end(std::istringstream& line, const char* what) {
-  std::string word;
-  if (line >> word)
-    snapshot_fail(std::string("trailing tokens on ") + what + " line");
+DriftShardSnapshot read_drift_shard(TokenReader& reader) {
+  DriftShardSnapshot d;
+  ShardDriftDetector::State& st = d.state;
+  reader.line("drift_shard");
+  d.shard = reader.count("drift_shard");
+  st.scores = reader.count_field("scores");
+  st.cooldown_left = reader.count_field("cooldown_left");
+  st.suppressed = reader.count_field("suppressed");
+  reader.end_line();
+  reader.line("ph");
+  st.page_hinkley.count = reader.count_field("count");
+  st.page_hinkley.mean = reader.real_field("mean");
+  st.page_hinkley.cumulative = reader.real_field("cumulative");
+  st.page_hinkley.minimum = reader.real_field("minimum");
+  st.page_hinkley.last_deviation = reader.real_field("last_deviation");
+  st.page_hinkley.trips = reader.count_field("trips");
+  reader.end_line();
+  reader.line("ks");
+  st.ks.observed = reader.count_field("observed");
+  st.ks.last_statistic = reader.real_field("last_statistic");
+  st.ks.trips = reader.count_field("trips");
+  reader.end_line();
+  reader.line("ks_reference");
+  st.ks.reference = reader.counted_reals("ks_reference");
+  reader.line("ks_current");
+  st.ks.current = reader.counted_reals("ks_current");
+  return d;
 }
 
-std::istringstream next_line(std::istream& in, const char* what) {
-  std::string line;
-  if (!std::getline(in, line))
-    snapshot_fail(std::string("truncated: missing ") + what + " line");
-  return std::istringstream(line);
-}
-
-void read_drift_shards(std::istream& in, std::uint64_t drift_count,
-                       EngineSnapshot& snapshot);
-
-EngineSnapshot read_snapshot_impl(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != "hmd-snapshot v1")
-    snapshot_fail("bad header (expected 'hmd-snapshot v1')");
+EngineSnapshot read_snapshot(TokenReader& reader) {
+  reader.header("hmd-snapshot", {"v1"});
 
   EngineSnapshot snapshot;
-  if (!std::getline(in, line)) snapshot_fail("missing model_version line");
-  {
-    std::istringstream fields(line);
-    snapshot.model_version = expect_field(fields, "model_version");
-  }
-  if (!std::getline(in, line)) snapshot_fail("missing streams line");
-  std::uint64_t count = 0;
-  {
-    std::istringstream fields(line);
-    count = expect_field(fields, "streams");
-  }
-
-  snapshot.streams.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line))
-      snapshot_fail("truncated: expected " + std::to_string(count) +
-                    " stream lines, got " + std::to_string(i));
-    std::istringstream fields(line);
-    StreamSnapshot s;
-    s.id = expect_field(fields, "stream");
-    s.accepted = expect_field(fields, "accepted");
-    s.evicted = expect_field(fields, "evicted");
-    s.high_water = expect_field(fields, "high_water");
-    s.detector.windows = expect_field(fields, "windows");
-    s.detector.flagged = expect_field(fields, "flagged");
-    s.detector.streak = expect_field(fields, "streak");
-    const std::uint64_t alarmed = expect_field(fields, "alarmed");
-    if (alarmed > 1) snapshot_fail("alarmed must be 0 or 1");
-    s.detector.alarmed = alarmed == 1;
-    std::string word;
-    if (!(fields >> word) || word != "alarm_window")
-      snapshot_fail("expected field 'alarm_window'");
-    if (!(fields >> word)) snapshot_fail("bad value for field 'alarm_window'");
-    if (word == "-") {
-      s.detector.alarm_window = core::OnlineDetector::kNoAlarm;
-    } else {
-      std::istringstream value(word);
-      std::uint64_t w = 0;
-      if (!(value >> w)) snapshot_fail("bad value for field 'alarm_window'");
-      s.detector.alarm_window = static_cast<std::size_t>(w);
-    }
-    if (fields >> word) snapshot_fail("trailing tokens on stream line");
-    // Cross-field consistency is OnlineDetector::restore's job; reject
-    // here so a corrupt snapshot fails at load, not mid-restore.
-    if (s.detector.alarmed != (s.detector.alarm_window !=
-                               core::OnlineDetector::kNoAlarm) ||
-        s.detector.flagged > s.detector.windows ||
-        s.detector.streak > s.detector.flagged)
-      snapshot_fail("inconsistent detector state for stream " +
-                    std::to_string(s.id));
-    snapshot.streams.push_back(s);
-  }
+  snapshot.model_version = reader.count_line("model_version");
+  const std::uint64_t streams = reader.count_line("streams");
+  for (std::uint64_t i = 0; i < streams; ++i)
+    snapshot.streams.push_back(read_stream(reader));
 
   // Optional trailing sections, in order: drift, then policy, then tier.
-  // EOF (or a blank line) at any point means a snapshot written before
-  // that layer existed, or by an engine running without it — all load
-  // fine.
-  if (!std::getline(in, line)) return snapshot;
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return snapshot;
-  if (line.rfind("drift_shards", 0) == 0) {
-    std::uint64_t drift_count = 0;
-    {
-      std::istringstream fields(line);
-      drift_count = expect_field(fields, "drift_shards");
-      expect_line_end(fields, "drift_shards");
-    }
-    read_drift_shards(in, drift_count, snapshot);
-    if (!std::getline(in, line)) return snapshot;
-    if (line.find_first_not_of(" \t\r") == std::string::npos)
-      return snapshot;
+  // End of input at any point means a snapshot written before that layer
+  // existed, or by an engine running without it — all load fine.
+  if (!reader.next_line()) return snapshot;
+  if (reader.peek() == "drift_shards") {
+    const std::uint64_t shards = reader.count_field("drift_shards");
+    reader.end_line();
+    for (std::uint64_t i = 0; i < shards; ++i)
+      snapshot.drift.push_back(read_drift_shard(reader));
+    if (!reader.next_line()) return snapshot;
   }
-  if (line.rfind("policy", 0) == 0) {
-    std::istringstream fields(line);
-    std::string word;
-    fields >> word;
-    if (!(fields >> snapshot.policy.kind))
-      snapshot_fail("bad value for field 'policy'");
-    snapshot.policy.seed = expect_field(fields, "seed");
-    snapshot.policy.members = expect_field(fields, "members");
-    expect_line_end(fields, "policy");
+  if (reader.peek() == "policy") {
+    reader.keyword("policy");
+    snapshot.policy.kind = reader.word("policy");
+    snapshot.policy.seed = reader.count_field("seed");
+    snapshot.policy.members = reader.count_field("members");
+    reader.end_line();
     snapshot.policy.present = true;
-    if (!std::getline(in, line)) return snapshot;
-    if (line.find_first_not_of(" \t\r") == std::string::npos)
-      return snapshot;
+    if (!reader.next_line()) return snapshot;
   }
-  {
-    std::istringstream fields(line);
-    std::string word;
-    if (!(fields >> word) || word != "tier")
-      snapshot_fail(
-          "expected optional section 'drift_shards', 'policy' or 'tier'");
-    if (!(fields >> snapshot.tier.name))
-      snapshot_fail("bad value for field 'tier'");
-    expect_line_end(fields, "tier");
-    snapshot.tier.present = true;
-  }
+  reader.keyword("tier");  // the last optional section
+  snapshot.tier.name = reader.word("tier");
+  reader.end_line();
+  snapshot.tier.present = true;
   return snapshot;
-}
-
-/// Reads `drift_count` per-shard drift blocks into `snapshot.drift`.
-void read_drift_shards(std::istream& in, std::uint64_t drift_count,
-                       EngineSnapshot& snapshot) {
-  snapshot.drift.reserve(drift_count);
-  for (std::uint64_t i = 0; i < drift_count; ++i) {
-    DriftShardSnapshot d;
-    {
-      auto fields = next_line(in, "drift_shard");
-      d.shard = static_cast<std::size_t>(expect_field(fields, "drift_shard"));
-      d.state.scores = expect_field(fields, "scores");
-      d.state.cooldown_left = expect_field(fields, "cooldown_left");
-      d.state.suppressed = expect_field(fields, "suppressed");
-      expect_line_end(fields, "drift_shard");
-    }
-    {
-      auto fields = next_line(in, "ph");
-      std::string word;
-      if (!(fields >> word) || word != "ph")
-        snapshot_fail("expected field 'ph'");
-      d.state.page_hinkley.count = expect_field(fields, "count");
-      d.state.page_hinkley.mean = expect_double_field(fields, "mean");
-      d.state.page_hinkley.cumulative =
-          expect_double_field(fields, "cumulative");
-      d.state.page_hinkley.minimum = expect_double_field(fields, "minimum");
-      d.state.page_hinkley.last_deviation =
-          expect_double_field(fields, "last_deviation");
-      d.state.page_hinkley.trips = expect_field(fields, "trips");
-      expect_line_end(fields, "ph");
-    }
-    {
-      auto fields = next_line(in, "ks");
-      std::string word;
-      if (!(fields >> word) || word != "ks")
-        snapshot_fail("expected field 'ks'");
-      d.state.ks.observed = expect_field(fields, "observed");
-      d.state.ks.last_statistic =
-          expect_double_field(fields, "last_statistic");
-      d.state.ks.trips = expect_field(fields, "trips");
-      expect_line_end(fields, "ks");
-    }
-    {
-      auto fields = next_line(in, "ks_reference");
-      d.state.ks.reference = expect_hex_vector(fields, "ks_reference");
-      expect_line_end(fields, "ks_reference");
-    }
-    {
-      auto fields = next_line(in, "ks_current");
-      d.state.ks.current = expect_hex_vector(fields, "ks_current");
-      expect_line_end(fields, "ks_current");
-    }
-    snapshot.drift.push_back(std::move(d));
-  }
 }
 
 }  // namespace
 
 Result<EngineSnapshot> EngineSnapshot::read(std::istream& in) {
-  return capture_result([&in] { return read_snapshot_impl(in); })
+  return capture_result([&in] {
+           TokenReader reader(in, "snapshot");
+           return read_snapshot(reader);
+         })
       .with_context("reading engine snapshot");
 }
 

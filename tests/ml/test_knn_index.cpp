@@ -146,6 +146,14 @@ TEST(KnnIndex, NonFiniteQueriesMatchBruteForce) {
   queries[8 + 5] = std::numeric_limits<double>::infinity();
   queries[2 * 8 + 1] = -std::numeric_limits<double>::infinity();
   expect_paths_identical(model, queries, 8);
+
+  // NaN in the leading feature, the key the indexed batch sorts rows by:
+  // several such rows in one batch large enough for std::sort's
+  // partitioning path (more than 16 rows).
+  std::vector<double> keyed = random_queries(64, 8, 25);
+  for (std::size_t r = 0; r < 64; r += 3)
+    keyed[r * 8] = std::numeric_limits<double>::quiet_NaN();
+  expect_paths_identical(model, keyed, 8);
 }
 
 TEST(KnnIndex, SerializationRoundTripRebuildsIndexAndVerdicts) {

@@ -247,6 +247,108 @@ TEST(Serialization, RejectsShapesThatCannotBeScored) {
   }
 }
 
+// A NaN weight would make every window score P(malware) = NaN, which no
+// threshold flags; a field without its value must fail naming the field.
+// Both are parse errors at their line.
+TEST(Serialization, RejectsNaNAndMissingValuesNamingLineAndField) {
+  struct Case {
+    const char* what;
+    std::string text;
+    const char* where;
+  };
+  const std::vector<Case> cases = {
+      {"MLR weight row holding NaN",
+       "hmd-model v1\nscheme MLR\nclasses 2\n"
+       "standardizer_mean 0x0p+0 0x0p+0\nstandardizer_sd 0x1p+0 0x1p+0\n"
+       "weights 2 3\nrow nan 0 0\nrow 0 0 0\nend\n",
+       "model: line 7: 'weights': "},
+      {"one-class threshold line without a value",
+       "hmd-model v1\nscheme MahalanobisThreshold\nclasses 2\nmean 0x0p+0\n"
+       "precision 1 1\nrow 0x1p+0\nthreshold\nscale 0x1p+0\nend\n",
+       "model: line 7: 'threshold': "},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(c.text);
+    const auto result = try_load_model(in);
+    ASSERT_FALSE(result.ok()) << c.what;
+    EXPECT_EQ(result.error().code(), ErrCode::kParse) << c.what;
+    EXPECT_EQ(result.error().message().rfind(c.where, 0), 0u)
+        << c.what << ": " << result.error().message();
+  }
+}
+
+// Counts that size what a loaded model allocates when it scores: the
+// class count sizes every distribution, and IBk reserves k heap slots per
+// query. Out-of-range values fail at load, naming the field.
+TEST(Serialization, RejectsCountsThatSizeScoringAllocations) {
+  const std::string kStd1 =
+      "standardizer_mean 0x0p+0\nstandardizer_sd 0x1p+0\n";
+  auto ibk = [&](const char* k) {
+    return "hmd-model v1\nscheme IBk\nclasses 2\nk " + std::string(k) +
+           "\n" + kStd1 + "labels 0 1\npoints 2 1\nrow 0x0p+0\nrow 0x1p+0\n"
+           "end\n";
+  };
+  const std::pair<std::string, const char*> cases[] = {
+      {"hmd-model v1\nscheme OneR\nclasses 4611686018427387904\n"
+       "feature 0\ntraining_error 0x0p+0\nintervals 1\ninterval inf 0\n"
+       "end\n",
+       "model: line 3: 'classes': "},
+      {ibk("0"), "model: line 7: 'k': "},
+      {ibk("3"), "model: line 7: 'k': "},
+  };
+  for (const auto& [text, where] : cases) {
+    std::istringstream in(text);
+    const auto result = try_load_model(in);
+    ASSERT_FALSE(result.ok()) << where;
+    EXPECT_EQ(result.error().code(), ErrCode::kParse);
+    EXPECT_EQ(result.error().message().rfind(where, 0), 0u)
+        << result.error().message();
+  }
+  std::istringstream in(ibk("2"));
+  const auto loaded = try_load_model(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+}
+
+// Each J48 node and each committee member is a recursion step in the
+// loader and in the destructor; 10^5 nested levels overflowed the stack.
+// The reader bounds nesting at 1000 levels.
+TEST(Serialization, RejectsNestingPastTheReaderBound) {
+  auto j48_chain = [](std::size_t splits) {
+    std::string text = "hmd-model v1\nscheme J48\nclasses 2\n";
+    for (std::size_t i = 0; i < splits; ++i)
+      text += "split 0 0x0p+0 0 1 0\nleaf 0 1 0\n";
+    return text + "leaf 0 1 0\nend\n";
+  };
+  auto bagging_chain = [](std::size_t levels) {
+    std::string text = "hmd-model v1\nscheme Bagging\nclasses 2\n";
+    for (std::size_t i = 0; i < levels; ++i)
+      text += "members 1\nmember Bagging\n";
+    return text + "members 1\nmember ZeroR\nmajority 0\n"
+                  "priors 0x1p-1 0x1p-1\nend\n";
+  };
+  for (const std::string& deep_enough : {j48_chain(999), bagging_chain(999)}) {
+    std::istringstream in(deep_enough);
+    const auto loaded = try_load_model(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+    std::ostringstream out;
+    save_model(out, *loaded.value());
+    EXPECT_EQ(out.str(), deep_enough);
+  }
+  const std::pair<std::string, const char*> too_deep[] = {
+      {j48_chain(1000), "model: line 2003: 'split': "},
+      {j48_chain(200000), "model: line 2003: 'split': "},
+      {bagging_chain(1000), "model: line 2005: 'member': "},
+      {bagging_chain(200000), "model: line 2005: 'member': "}};
+  for (const auto& [text, where] : too_deep) {
+    std::istringstream in(text);
+    const auto result = try_load_model(in);
+    ASSERT_FALSE(result.ok()) << where;
+    EXPECT_EQ(result.error().code(), ErrCode::kParse);
+    EXPECT_EQ(result.error().message().rfind(where, 0), 0u)
+        << result.error().message();
+  }
+}
+
 TEST(Serialization, LoadedJRipRejectsAConditionBeyondTheWindow) {
   std::istringstream in(
       "hmd-model v1\nscheme JRip\nclasses 2\ndefault 0\nrules 1\n"

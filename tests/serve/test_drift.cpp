@@ -359,6 +359,49 @@ TEST(KsWindow, NonFiniteScoresLeaveStateAndTripsUnchanged) {
   EXPECT_EQ(got.trips, want.trips);
 }
 
+/// `fn` must throw PreconditionError with `field` in its message.
+template <class Fn>
+void expect_precondition_naming(Fn fn, const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << field << ": no PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PageHinkley, RestoreRejectsNaNNamingTheField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double PageHinkley::State::*, std::string> fields[] = {
+      {&PageHinkley::State::mean, "mean"},
+      {&PageHinkley::State::cumulative, "cumulative"},
+      {&PageHinkley::State::minimum, "minimum"},
+      {&PageHinkley::State::last_deviation, "last_deviation"}};
+  for (const auto& [member, name] : fields) {
+    PageHinkley ph;
+    PageHinkley::State state{.count = 5, .trips = 1};
+    state.*member = nan;
+    expect_precondition_naming([&] { ph.restore(state); },
+                               "PageHinkley::State." + name);
+    EXPECT_EQ(ph.state().count, 0u) << name << ": state changed";
+  }
+}
+
+TEST(KsWindow, RestoreRejectsNaNNamingTheField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  KsWindowDetector ks({.window = 8, .threshold = 0.4, .stride = 2});
+  KsWindowDetector::State state;
+  state.reference = {0.1, nan, 0.3};
+  expect_precondition_naming([&] { ks.restore(state); },
+                             "KsWindowDetector::State.reference");
+  state.reference = {0.1, 0.3};
+  state.current = {nan};
+  expect_precondition_naming([&] { ks.restore(state); },
+                             "KsWindowDetector::State.current");
+  EXPECT_TRUE(ks.state().reference.empty());
+}
+
 // ---------------------------------------------------------------------------
 // ShardDriftDetector: cooldown / hysteresis
 // ---------------------------------------------------------------------------
@@ -807,6 +850,46 @@ TEST(StreamEngine, DriftStateSurvivesCheckpointRestore) {
   resumed.drain();
   EXPECT_FALSE(resumed.drift_events().empty());
   resumed.shutdown();
+}
+
+// A NaN in a KS sample hangs the merge sweep of the next evaluation, and
+// one in Page–Hinkley's sums never leaves them. Both ways a snapshot
+// reaches an engine refuse it: the text reader with kParse, and the
+// engine constructor (for a snapshot built in code) with a
+// PreconditionError naming the field.
+TEST(EngineSnapshotDrift, NaNStateIsRejectedAtBothEntryPoints) {
+  std::istringstream file(
+      "hmd-snapshot v1\nmodel_version 1\nstreams 0\ndrift_shards 1\n"
+      "drift_shard 0 scores 1 cooldown_left 0 suppressed 0\n"
+      "ph count 1 mean 0x0p+0 cumulative 0x0p+0 minimum 0x0p+0 "
+      "last_deviation 0x0p+0 trips 0\n"
+      "ks observed 0 last_statistic 0x0p+0 trips 0\n"
+      "ks_reference 2 nan 0x1p-1\nks_current 0\n");
+  const Result<EngineSnapshot> read = EngineSnapshot::read(file);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error().code(), ErrCode::kParse);
+  EXPECT_EQ(read.error().message().rfind(
+                "snapshot: line 8: 'ks_reference': ", 0),
+            0u)
+      << read.error().message();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  StubModel model;
+  auto restore_with = [&](const ShardDriftDetector::State& state) {
+    EngineSnapshot snap;
+    snap.drift = {{.shard = 0, .state = state}};
+    ServeConfig config = drift_engine_config();
+    config.restore_from = std::make_shared<const EngineSnapshot>(snap);
+    StreamEngine engine(model, config);
+  };
+  ShardDriftDetector::State ks_nan;
+  ks_nan.ks.reference = {nan, 0.5};
+  expect_precondition_naming([&] { restore_with(ks_nan); },
+                             "KsWindowDetector::State.reference");
+  ShardDriftDetector::State ph_nan;
+  ph_nan.page_hinkley.mean = nan;
+  expect_precondition_naming([&] { restore_with(ph_nan); },
+                             "PageHinkley::State.mean");
 }
 
 TEST(ServeConfigDrift, ValidateIsEnforcedByTheEngine) {

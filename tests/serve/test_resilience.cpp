@@ -301,6 +301,41 @@ TEST(EngineSnapshotFormat, WriteReadRoundTrip) {
   EXPECT_FALSE(reloaded.value().tier.present);
 }
 
+// Counts are unsigned decimal: a sign or an overflow is a parse error at
+// its line and field, and a stream count larger than the file fails at
+// the end of input without sizing anything first.
+TEST(EngineSnapshotFormat, RejectsSignedAndOversizedCountsNamingLineAndField) {
+  const std::string head = "hmd-snapshot v1\nmodel_version 1\n";
+  const std::string stream_line =
+      "stream 1 accepted 5 evicted 0 high_water 1 windows 5 flagged 2 "
+      "streak 1 alarmed 0 alarm_window -\n";
+  struct Case {
+    const char* what;
+    std::string text;
+    const char* where;
+  };
+  const std::vector<Case> cases = {
+      {"negative stream id and accepted count",
+       head + "streams 1\nstream -1 accepted -5 evicted 0 high_water 0 "
+              "windows 0 flagged 0 streak 0 alarmed 0 alarm_window -\n",
+       "snapshot: line 4: 'stream': "},
+      {"stream count far beyond the file",
+       head + "streams 4611686018427387904\n" + stream_line,
+       "snapshot: line 5: 'stream': "},
+      {"model version past 2^64 - 1",
+       "hmd-snapshot v1\nmodel_version 18446744073709551616\nstreams 0\n",
+       "snapshot: line 2: 'model_version': "},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(c.text);
+    const Result<EngineSnapshot> r = EngineSnapshot::read(in);
+    ASSERT_FALSE(r.ok()) << c.what;
+    EXPECT_EQ(r.error().code(), ErrCode::kParse) << c.what;
+    EXPECT_EQ(r.error().message().rfind(c.where, 0), 0u)
+        << c.what << ": " << r.error().message();
+  }
+}
+
 TEST(EngineSnapshotFormat, ReadRejectsMalformedInput) {
   auto expect_parse_error = [](const std::string& text,
                                const std::string& label) {
