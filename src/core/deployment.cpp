@@ -2,7 +2,9 @@
 
 #include <istream>
 #include <ostream>
+#include <string>
 
+#include "hwsim/events.hpp"
 #include "ml/serialization.hpp"
 #include "util/error.hpp"
 #include "util/token_reader.hpp"
@@ -33,6 +35,12 @@ DeploymentBundle::DeploymentBundle(std::unique_ptr<ml::Classifier> model,
               "DeploymentBundle: fallback class count differs from primary");
   HMD_REQUIRE(features_.indices.size() == features_.names.size(),
               "DeploymentBundle: feature set indices/names mismatch");
+  for (const std::size_t idx : features_.indices)
+    HMD_REQUIRE(idx < hwsim::kNumFeatureEvents,
+                "DeploymentBundle: feature index " + std::to_string(idx) +
+                    " is not below " +
+                    std::to_string(hwsim::kNumFeatureEvents) +
+                    " (the collector's event count)");
   // Reject broken alarm policies at assembly time, not first monitor use —
   // this also guards load_bundle against corrupt persisted policies.
   policy_.validate();
@@ -97,7 +105,12 @@ DeploymentBundle read_bundle(TokenReader& reader) {
   for (std::uint64_t i = 0; i < n_features; ++i) {
     // "feature <idx> <name>" — event names are hyphenated, no spaces.
     reader.line("feature");
-    features.indices.push_back(reader.count("feature"));
+    const std::uint64_t index = reader.count("feature");
+    if (index >= hwsim::kNumFeatureEvents)
+      reader.fail("feature", "index " + std::to_string(index) +
+                                 " is not below " +
+                                 std::to_string(hwsim::kNumFeatureEvents));
+    features.indices.push_back(index);
     features.names.push_back(reader.word("feature"));
     reader.end_line();
   }

@@ -1,6 +1,8 @@
 #include "core/online_detector.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -48,6 +50,13 @@ Result<void> OnlineDetectorConfig::try_validate() const {
   return {};
 }
 
+void require_finite_window(std::span<const double> counts, const char* who) {
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    if (!std::isfinite(counts[i])) [[unlikely]]
+      throw PreconditionError(std::string(who) + ": counter " +
+                              std::to_string(i) + " is not finite");
+}
+
 OnlineDetector::OnlineDetector(const ml::Classifier& model,
                                OnlineDetectorConfig config)
     : model_(model), config_(config) {
@@ -80,6 +89,7 @@ OnlineDetector::Verdict OnlineDetector::observe(
     std::span<const double> counts) {
   HMD_REQUIRE(model_.num_classes() == 2,
               "OnlineDetector needs a binary (benign/malware) model");
+  require_finite_window(counts, "OnlineDetector::observe");
   return apply_probability(model_.distribution(counts)[1]);
 }
 

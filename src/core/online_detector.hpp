@@ -47,6 +47,12 @@ struct OnlineDetectorConfig {
   void validate() const { try_validate().value(); }
 };
 
+/// Throws PreconditionError naming `who` and the index of the first
+/// counter of `counts` that is NaN or ±inf. Such a window scores a NaN
+/// probability, and NaN is never above the flag threshold, so a monitor
+/// fed one would never flag it.
+void require_finite_window(std::span<const double> counts, const char* who);
+
 /// Stateful per-program monitor. Feed it HPC windows in order; it reports
 /// per-window flags and a latched alarm. One instance per monitored
 /// program; reset() when the program changes.
@@ -65,7 +71,8 @@ class OnlineDetector {
   OnlineDetector(const ml::Classifier& model,
                  OnlineDetectorConfig config = {});
 
-  /// Observe the next window's counter values.
+  /// Observe the next window's counter values. Throws PreconditionError
+  /// for a non-finite counter (see require_finite_window).
   Verdict observe(std::span<const double> counts);
 
   /// Advance the streak/alarm state machine on an externally computed

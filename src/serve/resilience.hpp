@@ -15,7 +15,7 @@
 //
 //   EngineSnapshot  checkpoint/restore. Serializes per-stream monitor
 //                   state (OnlineDetector::State), accept/evict counters
-//                   and the ring high-water mark into a small versioned
+//                   and the batch high-water mark into a small versioned
 //                   text artifact; an engine constructed with a snapshot
 //                   continues the verdict sequence bit-identically.
 //
@@ -106,14 +106,14 @@ class ModelHub {
 // EngineSnapshot — checkpoint/restore
 // ---------------------------------------------------------------------------
 
-/// Persisted state of one stream: identity, accounting, the ring
-/// high-water mark (peak pending depth — capacity-planning data, not
-/// restored into behavior) and the full detector state machine.
+/// Persisted state of one stream: identity, accounting, the batch
+/// high-water mark (most windows in one batch — capacity-planning data,
+/// not restored into behavior) and the full detector state machine.
 struct StreamSnapshot {
   std::uint64_t id = 0;
   std::uint64_t accepted = 0;    ///< windows ingested (incl. later-dropped)
   std::uint64_t evicted = 0;     ///< windows dropped under kDropOldest
-  std::uint64_t high_water = 0;  ///< max windows ever pending in the ring
+  std::uint64_t high_water = 0;  ///< most windows in one gathered batch
   core::OnlineDetector::State detector;
 };
 

@@ -1,20 +1,20 @@
 // Bounded lock-free ring buffer — the ingress primitive of the streaming
 // detection engine.
 //
-// Each monitored stream owns one ring: the stream's feeder thread is the
-// single producer and the owning shard worker is the single consumer, so
-// the nominal discipline is SPSC and the common path is a single
-// uncontended CAS per push/pop. The implementation is slot-sequenced
-// (Vyukov's bounded queue) rather than a plain head/tail SPSC ring for two
-// reasons:
+// Each shard owns one ring, and every window of the shard's streams
+// passes through it tagged with its stream: the shard's feeder threads
+// push and the shard worker pops. With one feeder per shard the
+// discipline is SPSC and the common path is a single uncontended CAS per
+// push/pop. The implementation is slot-sequenced (Vyukov's bounded queue)
+// rather than a plain head/tail SPSC ring for two reasons:
 //
 //  * the drop-oldest backpressure policy needs the *producer* to discard
 //    the consumer's next element when the ring is full. With per-slot
 //    sequence numbers that is just a second (contended) consumer — safe
 //    and lock-free — whereas a classic SPSC ring would race on the slot
 //    being recycled;
-//  * accidental extra producers degrade into lock-free contention instead
-//    of silent corruption.
+//  * several feeders may share a shard: extra producers contend on the
+//    enqueue cursor's CAS, lock-free, instead of corrupting the ring.
 //
 // A push either copies a value in (try_push) or writes the claimed slot in
 // place (try_push_with), so a producer filling a large element builds it

@@ -25,14 +25,6 @@ namespace hmd::serve {
 
 namespace {
 
-/// One enqueued window: ingest timestamp (for the e2e latency histogram —
-/// metrics only, never results) plus the counter values inline, so a ring
-/// slot needs no heap indirection.
-struct WindowSample {
-  std::uint64_t ingest_us = 0;
-  std::array<double, kMaxWindowWidth> counts{};
-};
-
 /// The e2e latency sample rate: window j of a stream (j = the stream's
 /// accepted count before it) carries an ingest timestamp iff
 /// (j + stream id) % kE2eSampleEvery == 0. A clock read per window would
@@ -40,8 +32,14 @@ struct WindowSample {
 /// spreads one tick's stamps across its streams.
 constexpr std::uint64_t kE2eSampleEvery = 64;
 
-/// WindowSample::ingest_us of a window that carries no timestamp.
+/// Shard::Pending::ingest_us of a window that carries no timestamp.
 constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
+
+/// How far apart data written by different threads is kept: two cache
+/// lines, because x86 cores fetch lines in adjacent pairs, so a write to
+/// one line of a pair also pulls the other line away from the core that
+/// writes it.
+constexpr std::size_t kNoShare = 128;
 
 /// How long a shard worker sleeps when parked with nothing to do. Bounds
 /// the staleness of any lost wakeup race to one timeout.
@@ -130,51 +128,44 @@ std::size_t StreamRouter::shard_of(std::uint64_t stream_id) const {
   return static_cast<std::size_t>(splitmix64(x) % num_shards_);
 }
 
-/// Per-stream serving state. The ring is SPSC (the stream's feeder in,
-/// the owning shard worker out); the monitor and logs are written only by
-/// the shard worker under the shard's apply mutex (snapshot() takes the
-/// same mutex) and read by callers after drain().
+/// Per-stream serving state. The stream's windows travel through its
+/// shard's ring; the monitor and logs are written only by the shard worker
+/// under the shard's apply mutex (snapshot() takes the same mutex) and
+/// read by callers after drain().
 struct StreamEngine::Stream {
   Stream(StreamId stream_id, std::size_t shard_index,
-         std::size_t ring_capacity,
          std::shared_ptr<const ml::Classifier> model,
          const core::OnlineDetectorConfig& policy)
       : id(stream_id),
         shard(shard_index),
-        ring(ring_capacity),
         monitor_model(std::move(model)),
         monitor(*monitor_model, policy) {}
 
-  const StreamId id;
+  // What a feeder touches on every ingest, kept apart from the monitor
+  // and logs the worker writes per window: the stream's identity (read)
+  // and its counts. `accepted` has one writer, the stream's feeder;
+  // `evicted` is bumped by whichever feeder of the shard evicted one of
+  // this stream's windows.
+  alignas(kNoShare) const StreamId id;
   const std::size_t shard;
-  SpscRing<WindowSample> ring;
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> evicted{0};
+
   /// Pins the registration epoch's primary: the monitor holds a reference
   /// to it for its whole lifetime, across hot-swaps. The engine never
   /// calls monitor.observe() — batches are scored through the current
   /// epoch and fed in via apply_probability — so the pinned model is a
   /// lifetime anchor, not a scoring path.
-  std::shared_ptr<const ml::Classifier> monitor_model;
+  alignas(kNoShare) std::shared_ptr<const ml::Classifier> monitor_model;
   core::OnlineDetector monitor;
   std::vector<Verdict> verdict_log;        ///< only when record_verdicts
   std::vector<std::uint64_t> version_log;  ///< parallel to verdict_log
-  /// Peak pending ring depth: the most windows one worker sweep found
-  /// pending, or the ring capacity once a window was evicted.
+  /// The most windows of this stream in one gathered batch. Written only
+  /// by the shard worker; atomic because snapshot() reads it live.
   std::atomic<std::uint64_t> high_water{0};
-
-  /// The worker's high-water update after it popped `popped` windows of
-  /// this stream in one sweep; `cut` says the batch cap stopped the sweep
-  /// with windows possibly still queued. Only that rare path reads the
-  /// feeder's cursor (ring.size_approx()): a read per sweep would pull the
-  /// feeder's line over and make its next push miss.
-  void raise_high_water(std::size_t popped, bool cut) {
-    const std::size_t pending = cut ? popped + ring.size_approx() : popped;
-    const auto depth =
-        static_cast<std::uint64_t>(std::min(ring.capacity(), pending));
-    std::uint64_t seen = high_water.load(std::memory_order_relaxed);
-    while (depth > seen && !high_water.compare_exchange_weak(
-                               seen, depth, std::memory_order_relaxed)) {
-    }
-  }
+  /// This stream's windows in the batch being gathered (worker only;
+  /// zero between batches).
+  std::size_t batch_windows = 0;
 
   // Benign window log for drift retraining (drift.retrain only): a flat
   // row-major ring of the last window_log_capacity UNFLAGGED windows.
@@ -183,11 +174,6 @@ struct StreamEngine::Stream {
   std::vector<double> window_log;
   std::size_t window_log_next = 0;      ///< next ring slot to overwrite
   std::uint64_t window_log_total = 0;   ///< lifetime rows appended
-
-  // Written by the stream's feeder on every ingest: a cache line of their
-  // own, away from the monitor and logs the worker writes per window.
-  alignas(64) std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> evicted{0};
 };
 
 /// Per-shard worker state. `produced`/`consumed` converge once producers
@@ -196,25 +182,34 @@ struct StreamEngine::Stream {
 /// load synchronizes with (fetch_add chains preserve the release
 /// sequence), so post-drain reads of monitors and verdict logs are safe.
 struct StreamEngine::Shard {
+  /// One pending window: its stream, its ingest timestamp (for the e2e
+  /// latency histogram — metrics only, never results) and the counter
+  /// values inline, so a ring slot needs no heap indirection.
+  struct Pending {
+    Stream* stream = nullptr;
+    std::uint64_t ingest_us = 0;
+    std::array<double, kMaxWindowWidth> counts{};
+  };
+
+  explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
+
   std::size_t index = 0;
 
-  // Stream membership: registration appends under `reg_mutex` and bumps
-  // `generation`; the worker refreshes its private snapshot when the
-  // generation moves, so the gather loop runs lock-free.
-  std::mutex reg_mutex;
-  std::vector<Stream*> registered;
-  std::atomic<std::uint64_t> generation{0};
+  /// Every pending window of the shard's streams, in arrival order. The
+  /// shard's feeders push; the worker pops (and, under kDropOldest, a
+  /// feeder facing a full ring evicts the oldest).
+  SpscRing<Pending> ring;
 
-  // `produced` is written on every ingest, so it gets a cache line of its
-  // own: `generation` is read and `consumed` written by the worker.
-  alignas(64) std::atomic<std::uint64_t> produced{0};
-  alignas(64) std::atomic<std::uint64_t> consumed{0};
-
-  // Parking: the worker naps when every ring is empty; ingest rings the
+  // Parking: the worker naps when the ring is empty; ingest rings the
   // doorbell only when `parked` is set, keeping the hot path wait-free.
+  // Every ingest writes `produced` and reads `parked`, so the two are
+  // kept apart from `consumed` and the rest, which the worker writes per
+  // batch.
+  alignas(kNoShare) std::atomic<std::uint64_t> produced{0};
+  std::atomic<bool> parked{false};
+  alignas(kNoShare) std::atomic<std::uint64_t> consumed{0};
   std::mutex park_mutex;
   std::condition_variable park_cv;
-  std::atomic<bool> parked{false};
 
   // Resilience state. The worker thread owns everything here except
   // `apply_mutex` (shared with snapshot()) and `degraded` (read by
@@ -264,6 +259,8 @@ struct StreamEngine::Batch {
   struct Item {
     Stream* stream;
     std::uint64_t ingest_us;
+    /// How many of the stream's windows precede this one in the batch.
+    std::size_t nth;
   };
   std::vector<Item> items;
   std::vector<double> flat;
@@ -421,7 +418,7 @@ StreamEngine::StreamEngine(std::shared_ptr<ModelHub> hub, ServeConfig config)
 
   shards_.reserve(config_.num_shards);
   for (std::size_t k = 0; k < config_.num_shards; ++k) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(config_.ring_capacity);
     shard->index = k;
     const std::string suffix = ".shard" + std::to_string(k);
     shard->span_name = "serve/shard" + std::to_string(k) + "/batch";
@@ -478,9 +475,8 @@ std::size_t StreamEngine::num_streams() const {
 
 StreamEngine::StreamHandle StreamEngine::register_stream(StreamId id) {
   auto epoch = hub_->current();
-  auto stream =
-      std::make_unique<Stream>(id, router_.shard_of(id), config_.ring_capacity,
-                               epoch->primary, config_.policy);
+  auto stream = std::make_unique<Stream>(id, router_.shard_of(id),
+                                        epoch->primary, config_.policy);
   Stream* handle = stream.get();
   {
     std::lock_guard<std::mutex> lock(streams_mutex_);
@@ -502,12 +498,6 @@ StreamEngine::StreamHandle StreamEngine::register_stream(StreamId id) {
     }
     streams_.push_back(std::move(stream));
   }
-  Shard& shard = *shards_[handle->shard];
-  {
-    std::lock_guard<std::mutex> lock(shard.reg_mutex);
-    shard.registered.push_back(handle);
-  }
-  shard.generation.fetch_add(1, std::memory_order_release);
   return handle;
 }
 
@@ -516,28 +506,34 @@ bool StreamEngine::ingest(StreamHandle stream,
   HMD_REQUIRE(stream != nullptr, "StreamEngine::ingest: null stream");
   HMD_REQUIRE(window.size() == config_.window_size,
               "StreamEngine::ingest: window width != config window_size");
+  core::require_finite_window(window, "StreamEngine::ingest");
 
   // `accepted` has one writer, this stream's (serialized) feeder, so it
-  // is loaded here and stored (not incremented) after the push.
+  // is stored, not incremented. It is stored before the push: the worker
+  // may score the window as soon as it is pushed, and a snapshot must
+  // never find more windows scored than accepted.
   const std::uint64_t ordinal =
       stream->accepted.load(std::memory_order_relaxed);
+  stream->accepted.store(ordinal + 1, std::memory_order_relaxed);
   const std::uint64_t ingest_us =
       (ordinal + stream->id) % kE2eSampleEvery == 0 ? Tracer::now_us()
                                                     : kUnstamped;
-  const auto fill = [&](WindowSample& slot) noexcept {
+  const auto fill = [&](Shard::Pending& slot) noexcept {
+    slot.stream = stream;
     slot.ingest_us = ingest_us;
     std::copy(window.begin(), window.end(), slot.counts.begin());
   };
 
   Shard& shard = *shards_[stream->shard];
   bool dropped_one = false;
-  while (!stream->ring.try_push_with(fill)) {
+  while (!shard.ring.try_push_with(fill)) {
     if (config_.backpressure == ServeConfig::Backpressure::kDropOldest) {
-      if (stream->ring.pop_discard()) {
+      // The shard's oldest pending window goes, whichever stream sent it,
+      // and the eviction is charged to that stream.
+      Shard::Pending oldest;
+      if (shard.ring.try_pop(oldest)) {
         dropped_one = true;
-        stream->evicted.fetch_add(1, std::memory_order_relaxed);
-        stream->high_water.store(stream->ring.capacity(),
-                                 std::memory_order_relaxed);
+        oldest.stream->evicted.fetch_add(1, std::memory_order_relaxed);
         shard.dropped->add();
         shard.agg_dropped->add();
         // The worker counts the windows it gathers; an evicted window is
@@ -552,18 +548,22 @@ bool StreamEngine::ingest(StreamHandle stream,
       // kBlock: the worker is guaranteed to make space; just get out of
       // its way (and make sure it is not parked on a full ring, which
       // can happen if it parked between our push attempts).
-      unpark(shard);
+      wake(shard);
       std::this_thread::yield();
     }
   }
   // `produced` stays an RMW: several feeders may share a shard.
-  stream->accepted.store(ordinal + 1, std::memory_order_relaxed);
   shard.produced.fetch_add(1, std::memory_order_relaxed);
-  if (shard.parked.load(std::memory_order_seq_cst)) unpark(shard);
+  if (shard.parked.load(std::memory_order_seq_cst)) wake(shard);
   return !dropped_one;
 }
 
-void StreamEngine::unpark(Shard& shard) {
+void StreamEngine::wake(Shard& shard) {
+  // Only the caller that clears the flag rings the doorbell: feeders that
+  // saw the worker parked after it skip the mutex and the notify. The
+  // worker re-checks the flag under the mutex before it sleeps, so a
+  // doorbell rung before it sleeps is not lost.
+  if (!shard.parked.exchange(false, std::memory_order_seq_cst)) return;
   std::lock_guard<std::mutex> lock(shard.park_mutex);
   shard.park_cv.notify_one();
 }
@@ -649,24 +649,18 @@ bool StreamEngine::score_batch(Shard& shard, Batch& batch) {
   }
 
   if (policy_ != nullptr) {
-    // Window identities for member selection: each stream's windows sit
-    // in one contiguous run of the gather order, so its ordinals are the
+    // Window identities for member selection: a window's ordinal is its
     // monitor's windows_seen() (this worker is the only writer) plus the
-    // offset in the run. A failed batch never advances the monitors, so
-    // dropped windows consume no ordinals and the selection sequence
-    // stays a pure function of the scored traffic.
+    // stream's windows ahead of it in the batch. A failed batch never
+    // advances the monitors, so dropped windows consume no ordinals and
+    // the selection sequence stays a pure function of the scored traffic.
     batch.keys.resize(n);
-    std::size_t w = 0;
-    while (w < n) {
-      Stream* stream = batch.items[w].stream;
-      const auto base =
-          static_cast<std::uint64_t>(stream->monitor.windows_seen());
-      std::uint64_t offset = 0;
-      while (w < n && batch.items[w].stream == stream) {
-        batch.keys[w] = {stream->id, base + offset};
-        ++offset;
-        ++w;
-      }
+    for (std::size_t w = 0; w < n; ++w) {
+      const Batch::Item& item = batch.items[w];
+      batch.keys[w] = {
+          item.stream->id,
+          static_cast<std::uint64_t>(item.stream->monitor.windows_seen() +
+                                     item.nth)};
     }
   }
 
@@ -765,9 +759,9 @@ bool StreamEngine::score_batch(Shard& shard, Batch& batch) {
   // fallback's verdicts and version.
   const bool policy_scored = policy_ != nullptr && by_primary;
 
-  // Serial per-stream replay of the streak/alarm machine, in gather
-  // order — per stream this is exactly arrival order. Under the apply
-  // mutex so snapshot() only ever sees monitors between batches.
+  // Serial per-stream replay of the streak/alarm machine in arrival
+  // order, which per stream is the feeder's order. Under the apply mutex
+  // so snapshot() only ever sees monitors between batches.
   {
     std::lock_guard<std::mutex> apply_lock(shard.apply_mutex);
     const std::uint64_t now = Tracer::now_us();
@@ -850,42 +844,27 @@ bool StreamEngine::score_batch(Shard& shard, Batch& batch) {
 }
 
 void StreamEngine::worker_loop(Shard& shard) {
-  std::vector<Stream*> snapshot;
-  std::uint64_t seen_generation = 0;
-
   Batch batch;
   const std::size_t width = config_.window_size;
   batch.items.reserve(config_.max_batch_windows);
   batch.flat.reserve(config_.max_batch_windows * width);
 
   for (;;) {
-    if (shard.generation.load(std::memory_order_acquire) !=
-        seen_generation) {
-      std::lock_guard<std::mutex> lock(shard.reg_mutex);
-      snapshot = shard.registered;
-      seen_generation = shard.generation.load(std::memory_order_acquire);
-    }
-
-    // Gather: sweep this shard's streams in registration order, popping
-    // every pending window (up to the batch cap) into one contiguous
-    // row-major block. Within a stream, pops are FIFO, so per-stream
-    // arrival order survives batching.
+    // Gather: pop the shard's pending windows (up to the batch cap) into
+    // one contiguous row-major block, in arrival order. Each stream's
+    // windows enter the ring in its feeder's order, so per-stream order
+    // survives batching.
     batch.items.clear();
     batch.flat.clear();
-    WindowSample sample;
-    for (Stream* stream : snapshot) {
-      const std::size_t first = batch.items.size();
-      while (batch.items.size() < config_.max_batch_windows &&
-             stream->ring.try_pop(sample)) {
-        batch.items.push_back({stream, sample.ingest_us});
-        batch.flat.insert(
-            batch.flat.end(), sample.counts.begin(),
-            sample.counts.begin() + static_cast<std::ptrdiff_t>(width));
-      }
-      const bool cut = batch.items.size() >= config_.max_batch_windows;
-      if (batch.items.size() > first)
-        stream->raise_high_water(batch.items.size() - first, cut);
-      if (cut) break;
+    Shard::Pending pending;
+    while (batch.items.size() < config_.max_batch_windows &&
+           shard.ring.try_pop(pending)) {
+      Stream* stream = pending.stream;
+      batch.items.push_back(
+          {stream, pending.ingest_us, stream->batch_windows++});
+      batch.flat.insert(
+          batch.flat.end(), pending.counts.begin(),
+          pending.counts.begin() + static_cast<std::ptrdiff_t>(width));
     }
 
     if (!batch.items.empty()) {
@@ -910,26 +889,32 @@ void StreamEngine::worker_loop(Shard& shard) {
       // drain() terminates and surfaces the stored error.
       if (!failed_.load(std::memory_order_relaxed))
         score_batch(shard, batch);
+      // Each stream's high water, from its count in this batch; its first
+      // item reads the count and clears it for the next gather.
+      for (const Batch::Item& item : batch.items) {
+        if (item.nth != 0) continue;
+        Stream& stream = *item.stream;
+        if (stream.batch_windows >
+            stream.high_water.load(std::memory_order_relaxed))
+          stream.high_water.store(stream.batch_windows,
+                                  std::memory_order_relaxed);
+        stream.batch_windows = 0;
+      }
       shard.consumed.fetch_add(n, std::memory_order_release);
       continue;
     }
 
     if (stop_.load(std::memory_order_acquire)) break;
 
-    // Park until new work (or a registration) arrives. The post-park
-    // re-check closes the push-vs-park race; a lost doorbell costs at
-    // most kParkTimeout.
+    // Park until new work arrives: wake() clears `parked` and rings the
+    // doorbell. The re-check after setting the flag closes the
+    // push-vs-park race; a push it misses costs at most kParkTimeout.
     shard.parked.store(true, std::memory_order_seq_cst);
-    bool work = shard.generation.load(std::memory_order_acquire) !=
-                seen_generation;
-    for (Stream* stream : snapshot)
-      if (!stream->ring.empty_approx()) {
-        work = true;
-        break;
-      }
-    if (!work && !stop_.load(std::memory_order_acquire)) {
+    if (shard.ring.empty_approx() && !stop_.load(std::memory_order_acquire)) {
       std::unique_lock<std::mutex> lock(shard.park_mutex);
-      shard.park_cv.wait_for(lock, kParkTimeout);
+      shard.park_cv.wait_for(lock, kParkTimeout, [&shard] {
+        return !shard.parked.load(std::memory_order_seq_cst);
+      });
     }
     shard.parked.store(false, std::memory_order_seq_cst);
   }
@@ -939,7 +924,7 @@ void StreamEngine::drain_internal() {
   for (auto& shard : shards_) {
     while (shard->produced.load(std::memory_order_acquire) !=
            shard->consumed.load(std::memory_order_acquire)) {
-      unpark(*shard);
+      wake(*shard);
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
@@ -963,7 +948,7 @@ void StreamEngine::join_workers() {
   if (joined_) return;
   drain_internal();
   stop_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) unpark(*shard);
+  for (auto& shard : shards_) wake(*shard);
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
   join_retrain_thread();

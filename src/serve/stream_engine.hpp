@@ -3,26 +3,30 @@
 // A deployed HMD scores many monitored processes ("streams") at once. This
 // engine turns the per-window OnlineDetector into a multi-stream service:
 //
-//   feeder threads ──ingest──▶ per-stream lock-free rings (spsc_ring.hpp)
-//                                      │ StreamRouter: stream id → shard
-//                                      ▼
+//   feeder threads ──ingest──▶ one lock-free ring per shard (spsc_ring.hpp),
+//                              │ windows tagged with their stream
+//                              │ StreamRouter: stream id → shard
+//                              ▼
 //   shard workers ──gather──▶ one contiguous cross-stream batch
 //                 ──score───▶ a single Classifier::distribution_batch call
 //                 ──apply───▶ per-stream OnlineDetector streak/alarm state
 //
 // Batching across streams is the point: instead of one virtual
 // distribution() call (and allocation) per window per stream, a shard
-// gathers every pending window from all of its streams into one columnar-
-// friendly block and scores it in one call, keeping the ml kernels' hot
-// path warm. The streak/alarm state machine then replays per stream in
-// arrival order, so for any shard count the verdict sequence of each
+// pops its pending windows, in arrival order, into one columnar-friendly
+// block and scores it in one call, keeping the ml kernels' hot path warm.
+// Each stream has one serialized feeder and all of its windows enter one
+// FIFO, so the streak/alarm state machine replays per stream in the
+// feeder's order, and for any shard count the verdict sequence of each
 // stream is bit-identical to feeding that stream serially through
 // OnlineDetector::observe (pinned by tests/serve/test_stream_engine.cpp).
 //
-// Backpressure is per stream and bounded (ServeConfig::backpressure):
-//   kBlock      — ingest spins until the ring has space (lossless);
-//   kDropOldest — ingest discards the stream's oldest unscored window and
-//                 counts it (serve.dropped); the newest window always wins.
+// Backpressure is per shard and bounded (ServeConfig::backpressure):
+//   kBlock      — ingest spins until the shard's ring has space (lossless);
+//   kDropOldest — ingest discards the shard's oldest unscored window,
+//                 whichever stream sent it, and charges it to that stream
+//                 (dropped(stream), serve.dropped); the newest window
+//                 always wins.
 //
 // Resilience (serve/resilience.hpp, docs/resilience.md): models arrive
 // through a ModelHub — workers pin the current epoch per batch, so a
@@ -48,10 +52,11 @@
 //   serve.e2e_latency_us[.shard<k>]  histogram ingest → verdict latency of
 //                                              window j of a stream iff
 //                                              (j + stream id) % 64 == 0
-// Ingest itself is one ring push plus a store of the stream's accepted
-// count: no clock read (bar the 1-in-64 stamp) and no write to a line the
-// worker owns; the rest of the bookkeeping above is the worker's, which in
-// turn never reads the feeder's ring cursor on its common path.
+// Ingest itself is one push onto the shard's ring plus a store of the
+// stream's accepted count: no clock read (bar the 1-in-64 stamp) and no
+// write to a line the worker owns; the rest of the bookkeeping above is
+// the worker's, which pops the ring sequentially and never reads the
+// feeders' cursor.
 // plus the serve.resilience.* family (docs/resilience.md):
 //   retries, score_failures, fallback_batches, degrade_events, recoveries,
 //   budget_overruns, swaps_observed, errors_swallowed, checkpoints,
@@ -100,21 +105,22 @@ struct ServeConfig {
   std::size_t num_shards = 1;
   /// Counters per window (model input width), 1..kMaxWindowWidth.
   std::size_t window_size = 16;
-  /// Per-stream ring capacity (rounded up to a power of two). Ring memory
-  /// is streams × capacity × 144 B (the slot of a 16-counter window), so
-  /// the default follows the traffic rather than a worst case: measured
-  /// per-stream high water on 4096 streams stays at 2–8 pending windows,
-  /// with rare peaks of ~90 while a worker is descheduled. A feeder under
-  /// kBlock waits once its ring holds this many windows; under
-  /// kDropOldest a 10 ms stream starts evicting after 16 × 10 ms = 160 ms
-  /// of backlog. Raise it for feeders that must absorb longer stalls.
-  std::size_t ring_capacity = 16;
+  /// Per-shard ring capacity in windows (rounded up to a power of two).
+  /// Ring memory is shards × capacity × 152 B (the slot of a 16-counter
+  /// window), independent of the stream count. The default holds the
+  /// measured open-loop backlog of 4096 streams over 2 shards (about 2,000
+  /// pending windows per shard at 600k windows/s; docs/serving.md) with
+  /// room to spare. A feeder under kBlock waits once its shard's ring
+  /// holds this many windows; under kDropOldest it then evicts the shard's
+  /// oldest window, which may belong to another stream (4096 streams at
+  /// 10 ms fill one shard's default ring in ~80 ms of backlog).
+  std::size_t ring_capacity = 16384;
   /// Max windows a shard gathers into one cross-stream batch.
   std::size_t max_batch_windows = 1024;
 
   enum class Backpressure {
-    kBlock,      ///< ingest waits for ring space (lossless)
-    kDropOldest  ///< ingest evicts the stream's oldest pending window
+    kBlock,      ///< ingest waits for space in the shard's ring (lossless)
+    kDropOldest  ///< ingest evicts the shard's oldest pending window
   };
   Backpressure backpressure = Backpressure::kBlock;
 
@@ -256,9 +262,11 @@ class StreamEngine {
   StreamHandle register_stream(StreamId id);
 
   /// Feed the stream's next window (exactly config().window_size
-  /// counters). Returns false iff the backpressure policy dropped a
-  /// window (kDropOldest evicted the oldest; the new window was still
-  /// accepted). Lock-free except for a parked-worker wakeup.
+  /// counters, all finite: a NaN or ±inf counter throws PreconditionError
+  /// naming its index). Returns false iff the backpressure policy dropped
+  /// a window (kDropOldest evicted the shard's oldest, possibly another
+  /// stream's; the new window was still accepted). Lock-free except for a
+  /// parked-worker wakeup.
   bool ingest(StreamHandle stream, std::span<const double> window);
 
   /// Block until every ingested window has been scored (producers must
@@ -278,7 +286,7 @@ class StreamEngine {
   std::optional<ErrorInfo> last_error() const;
 
   /// Capture a checkpoint of every stream (detector state + counters +
-  /// ring high-water). Safe under live ingest: briefly pauses each
+  /// batch high-water). Safe under live ingest: briefly pauses each
   /// shard's apply step so monitors are captured between batches.
   EngineSnapshot snapshot() const;
   /// snapshot() serialized to `out` (EngineSnapshot text format v1).
@@ -299,13 +307,14 @@ class StreamEngine {
   /// to verdicts(); empty unless config().record_verdicts).
   const std::vector<std::uint64_t>& verdict_versions(
       StreamHandle stream) const;
-  /// Windows evicted from this stream under kDropOldest.
+  /// Windows of this stream evicted under kDropOldest (by any feeder of
+  /// its shard).
   std::uint64_t dropped(StreamHandle stream) const;
-  /// Windows this stream accepted (including later-dropped ones).
+  /// Windows this stream accepted (including later-dropped ones, and a
+  /// window whose ingest call is still waiting for ring space).
   std::uint64_t ingested(StreamHandle stream) const;
-  /// Peak pending depth: the most windows one worker sweep found pending
-  /// on this stream (capped at the ring capacity), or the ring capacity
-  /// once a window was evicted.
+  /// The most windows of this stream in one gathered batch (so at most
+  /// config().max_batch_windows).
   std::uint64_t high_water(StreamHandle stream) const;
   /// Windows accepted across all streams.
   std::uint64_t total_ingested() const;
@@ -364,7 +373,8 @@ class StreamEngine {
   void drain_internal();
   void join_workers();
   void rethrow_if_failed();
-  void unpark(Shard& shard);
+  /// Wake the shard's worker if it is parked (clears the flag).
+  void wake(Shard& shard);
 
   /// Called by a shard worker (under its apply mutex) when its detector
   /// trips: logs the event, bumps metrics, flags a pending retrain.

@@ -53,11 +53,12 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   HMD_REQUIRE(n > 0, "uniform_index: n must be positive");
-  // Lemire-style rejection to remove modulo bias.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+  // Rejection removes modulo bias: a draw below (2^64 - n) mod n is
+  // redrawn. That threshold is always < n, so a draw r >= n is accepted
+  // without computing it; only the rare r < n pays the second division.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % n;
+    if (r >= n || r >= (~n + 1) % n) return r % n;
   }
 }
 

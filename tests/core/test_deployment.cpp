@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
@@ -95,6 +96,40 @@ TEST(DeploymentBundle, RejectsBadConstruction) {
   auto untrained = ml::make_classifier("J48");
   EXPECT_THROW(DeploymentBundle(std::move(untrained), {}, {}),
                PreconditionError);
+}
+
+TEST(DeploymentBundle, RejectsFeatureIndexBeyondTheCollectorEvents) {
+  const ml::Dataset full = separable_binary(200);
+  FeatureSet fs;
+  fs.indices = {1, 16};
+  fs.names = {"f1", "f16"};
+  auto model = ml::make_classifier("MLR");
+  model->train(full.project({1, 3}));
+  try {
+    DeploymentBundle(std::move(model), fs, {});
+    FAIL() << "a feature index of 16 was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("feature index 16"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DeploymentBundle, LoadRejectsFeatureIndexBeyondTheCollectorEvents) {
+  const DeploymentBundle original = make_bundle();
+  std::ostringstream out;
+  save_bundle(out, original);
+  std::string text = out.str();
+  const std::size_t pos = text.find("feature 3 f3");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 12, "feature 4000000000 instructions");
+  std::istringstream in(text);
+  const Result<DeploymentBundle> loaded = try_load_bundle(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code(), ErrCode::kParse);
+  EXPECT_EQ(loaded.error().message().rfind("bundle: line 4: 'feature': ", 0),
+            0u)
+      << loaded.error().message();
 }
 
 TEST(DeploymentBundle, ShortCounterVectorThrows) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace hmd::core {
@@ -313,6 +318,29 @@ TEST(OnlineDetector, RestoreRejectsInconsistentState) {
   bad.alarmed = true;
   bad.alarm_window = 7;  // alarm window beyond windows seen
   EXPECT_THROW(det.restore(bad), PreconditionError);
+}
+
+TEST(OnlineDetector, ObserveRejectsNonFiniteCounters) {
+  StubModel model;
+  OnlineDetector det(model);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [window, counter] :
+       {std::pair{std::vector<double>{0.99, nan}, "counter 1"},
+        std::pair{std::vector<double>{inf, 0.0}, "counter 0"},
+        std::pair{std::vector<double>{0.99, -inf}, "counter 1"}}) {
+    try {
+      det.observe(window);
+      ADD_FAILURE() << "observed a window with a non-finite " << counter;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(counter), std::string::npos)
+          << e.what();
+    }
+  }
+  // A rejected window leaves the monitor untouched.
+  EXPECT_EQ(det.windows_seen(), 0u);
+  EXPECT_TRUE(det.observe(std::vector<double>{0.99, 0.0}).flagged);
+  EXPECT_EQ(det.windows_seen(), 1u);
 }
 
 TEST(OnlineDetector, ScoreWindowsRejectsMalformedInput) {

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -210,6 +211,75 @@ TEST(StreamEngine, IngestRejectsWrongWindowWidth) {
                PreconditionError);
   EXPECT_TRUE(engine.ingest(stream, std::vector<double>(4, 0.0)));
   engine.drain();
+}
+
+TEST(StreamEngine, IngestRejectsNonFiniteWindow) {
+  StubModel model;
+  ServeConfig config;
+  config.window_size = 4;
+  config.record_verdicts = true;
+  StreamEngine engine(model, config);
+  auto* stream = engine.register_stream(1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [&](std::vector<double> window,
+                                   const std::string& counter) {
+    try {
+      engine.ingest(stream, window);
+      ADD_FAILURE() << "accepted a window with a non-finite " << counter;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(counter), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected({0.1, nan, 0.0, 0.0}, "counter 1");
+  expect_rejected({inf, 0.0, 0.0, 0.0}, "counter 0");
+  expect_rejected({0.1, 0.0, 0.0, -inf}, "counter 3");
+  EXPECT_EQ(engine.ingested(stream), 0u);
+  EXPECT_TRUE(engine.ingest(stream, std::vector<double>{0.1, 0.0, 0.0, 0.0}));
+  engine.drain();
+  ASSERT_EQ(engine.verdicts(stream).size(), 1u);
+  EXPECT_EQ(engine.verdicts(stream)[0].probability, 0.1);
+}
+
+TEST(StreamEngine, DropOldestChargesTheEvictedWindowsStream) {
+  // One shard ring holds every stream's windows, so a burst of one stream
+  // evicts another stream's oldest window; the eviction is charged to the
+  // stream that lost the window.
+  metrics().reset();
+  GatedModel model;
+  ServeConfig config;
+  config.window_size = 1;
+  config.ring_capacity = 8;
+  config.record_verdicts = true;
+  config.backpressure = ServeConfig::Backpressure::kDropOldest;
+  StreamEngine engine(model, config);
+  auto* quiet = engine.register_stream(1);
+  auto* bursty = engine.register_stream(2);
+  EXPECT_TRUE(engine.ingest(quiet, std::vector<double>{0.0}));
+  model.await_entered();  // the worker holds window 0 alone
+  for (int w = 1; w <= 8; ++w)
+    EXPECT_TRUE(engine.ingest(quiet, std::vector<double>{w / 100.0}));
+  for (int w = 0; w < 3; ++w)
+    EXPECT_FALSE(engine.ingest(bursty, std::vector<double>{0.5 + w / 100.0}));
+  EXPECT_EQ(engine.dropped(quiet), 3u);
+  EXPECT_EQ(engine.dropped(bursty), 0u);
+  model.open();
+  engine.drain();
+
+  EXPECT_EQ(engine.ingested(quiet), 9u);
+  EXPECT_EQ(engine.ingested(bursty), 3u);
+  EXPECT_EQ(metrics().counter("serve.dropped").value(), 3u);
+  EXPECT_EQ(metrics().counter("serve.ingest_total").value(), 12u);
+  // The held window and the 5 newest survive, in order.
+  const std::vector<double> survivors = {0.0, 0.04, 0.05, 0.06, 0.07, 0.08};
+  const auto& verdicts = engine.verdicts(quiet);
+  ASSERT_EQ(verdicts.size(), survivors.size());
+  for (std::size_t w = 0; w < survivors.size(); ++w)
+    EXPECT_EQ(verdicts[w].probability, survivors[w]) << "window " << w;
+  EXPECT_EQ(engine.verdicts(bursty).size(), 3u);
+  engine.shutdown();
+  metrics().reset();
 }
 
 TEST(StreamEngine, SingleStreamMatchesObserveReplay) {
@@ -578,21 +648,28 @@ TEST(StreamEngine, CountersBalanceAfterDrainUnderBothPolicies) {
 }
 
 TEST(StreamEngine, HighWaterIsTheDepthTheWorkerFinds) {
+  // high_water is the most windows of one stream in one gathered batch:
+  // two streams interleave behind a held worker, and the next batch holds
+  // 11 windows of one and 5 of the other.
   GatedModel model;
   ServeConfig config;
   config.window_size = 1;
-  config.ring_capacity = 16;
+  config.ring_capacity = 32;
   StreamEngine engine(model, config);
   auto* stream = engine.register_stream(9);
+  auto* other = engine.register_stream(10);
   engine.ingest(stream, std::vector<double>{0.1});
   model.await_entered();
-  // The worker is held on the first window; k more queue behind it.
   constexpr std::uint64_t kQueued = 11;
-  for (std::uint64_t w = 0; w < kQueued; ++w)
+  constexpr std::uint64_t kOther = 5;
+  for (std::uint64_t w = 0; w < kQueued; ++w) {
     engine.ingest(stream, std::vector<double>{0.1});
+    if (w < kOther) engine.ingest(other, std::vector<double>{0.2});
+  }
   model.open();
   engine.drain();
   EXPECT_EQ(engine.high_water(stream), kQueued);
+  EXPECT_EQ(engine.high_water(other), kOther);
   EXPECT_EQ(engine.dropped(stream), 0u);
   engine.shutdown();
   metrics().reset();
@@ -612,7 +689,9 @@ TEST(StreamEngine, EvictionSetsHighWaterToRingCapacity) {
   for (int w = 0; w < 11; ++w)
     engine.ingest(stream, std::vector<double>{0.1});
   EXPECT_EQ(engine.dropped(stream), 3u);
-  EXPECT_EQ(engine.high_water(stream), 8u);
+  // An eviction does not touch high_water, and the held batch is counted
+  // once applied; the 8 survivors then fill the next batch.
+  EXPECT_EQ(engine.high_water(stream), 0u);
   model.open();
   engine.drain();
   EXPECT_EQ(engine.high_water(stream), 8u);
@@ -621,9 +700,10 @@ TEST(StreamEngine, EvictionSetsHighWaterToRingCapacity) {
   metrics().reset();
 }
 
-TEST(StreamEngine, HighWaterCountsWhatACappedSweepLeftQueued) {
-  // The batch cap cuts the sweep at 4 windows; the 6 still queued behind
-  // them count towards the depth that sweep found.
+TEST(StreamEngine, HighWaterIsBoundedByTheBatchCap) {
+  // The batch cap cuts each gather at 4 windows: the 10 queued windows go
+  // in batches of 4, 4 and 2, and the windows a capped gather left queued
+  // are counted in the batches that take them.
   GatedModel model;
   ServeConfig config;
   config.window_size = 1;
@@ -638,7 +718,7 @@ TEST(StreamEngine, HighWaterCountsWhatACappedSweepLeftQueued) {
     engine.ingest(stream, std::vector<double>{0.1});
   model.open();
   engine.drain();
-  EXPECT_EQ(engine.high_water(stream), kQueued);
+  EXPECT_EQ(engine.high_water(stream), config.max_batch_windows);
   EXPECT_EQ(engine.dropped(stream), 0u);
   EXPECT_EQ(engine.ingested(stream), kQueued + 1);
   engine.shutdown();
@@ -647,7 +727,7 @@ TEST(StreamEngine, HighWaterCountsWhatACappedSweepLeftQueued) {
 
 TEST(StreamEngine, DefaultRingBlocksUntilTheWorkerDrains) {
   // kBlock at the default capacity: a feeder that outruns a held worker
-  // waits once the ring is full, and nothing is lost.
+  // waits once its shard's ring is full, and nothing is lost.
   GatedModel model;
   ServeConfig config;
   config.record_verdicts = true;
@@ -655,8 +735,7 @@ TEST(StreamEngine, DefaultRingBlocksUntilTheWorkerDrains) {
   StreamEngine engine(model, config);
   auto* stream = engine.register_stream(4);
 
-  constexpr std::size_t kWindows = 40;
-  ASSERT_LT(1 + capacity, kWindows);
+  const std::size_t kWindows = 1 + capacity + 24;
   const auto window = [&config](std::size_t w) {
     std::vector<double> counts(config.window_size, 0.0);
     counts[0] = static_cast<double>(w) / 100.0;
@@ -670,14 +749,15 @@ TEST(StreamEngine, DefaultRingBlocksUntilTheWorkerDrains) {
     fed.store(true);
   });
 
-  // The held window plus a full ring, then the feeder waits.
+  // The held window plus a full ring, then the feeder waits inside the
+  // ingest of the next window, which ingested() already counts.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (engine.ingested(stream) < 1 + capacity &&
+  while (engine.ingested(stream) < 2 + capacity &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(engine.ingested(stream), 1 + capacity);
+  EXPECT_EQ(engine.ingested(stream), 2 + capacity);
   EXPECT_FALSE(fed.load());
 
   model.open();
@@ -1099,6 +1179,113 @@ TEST(ServeSoak, KnnModelMatchesSerialReplayAcrossShardCounts) {
           << label;
     }
     engine.shutdown();
+  }
+  metrics().reset();
+}
+
+/// Stub that stalls every batch briefly, so feeders fill a small shard
+/// ring and wait on it (kBlock) or evict from it (kDropOldest).
+class StallingModel final : public StubModel {
+ public:
+  void distribution_batch(std::span<const double> flat,
+                          std::size_t window_size,
+                          std::span<double> out) const override {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    StubModel::distribution_batch(flat, window_size, out);
+  }
+};
+
+// Shared-shard-ring soak: 3 feeders × 8 streams share each shard's
+// 8-slot ring at 1 and 2 shards, with every batch stalled so the ring
+// runs full. Under kBlock each stream's verdicts equal its serial replay;
+// under kDropOldest every stream's windows are scored or charged as
+// dropped, and the scored ones are an in-order subsequence of its feed.
+// The TSan CI job runs this test by name.
+TEST(ServeSoak, SharedShardRingMatchesSerialReplay) {
+  StallingModel model;
+  const auto policy =
+      OnlineDetectorConfig{.flag_threshold = 0.9, .confirm_windows = 2};
+  constexpr std::size_t kFeeders = 3;
+  constexpr std::size_t kStreamsPerFeeder = 8;
+  constexpr std::size_t kStreams = kFeeders * kStreamsPerFeeder;
+
+  for (const auto backpressure : {ServeConfig::Backpressure::kBlock,
+                                  ServeConfig::Backpressure::kDropOldest}) {
+    const bool drop = backpressure == ServeConfig::Backpressure::kDropOldest;
+    for (const std::size_t shards : {1u, 2u}) {
+      const std::string run = std::string(drop ? "drop-oldest" : "block") +
+                              " shards " + std::to_string(shards);
+      ServeConfig config;
+      config.window_size = 2;
+      config.num_shards = shards;
+      config.ring_capacity = 8;
+      config.record_verdicts = true;
+      config.policy = policy;
+      config.backpressure = backpressure;
+      StreamEngine engine(model, config);
+
+      std::vector<std::vector<std::vector<double>>> workload;
+      std::vector<StreamEngine::StreamHandle> handles;
+      Rng shape_rng(41 + shards);
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        handles.push_back(engine.register_stream(4000 + s));
+        const auto count =
+            static_cast<std::size_t>(shape_rng.uniform_int(10, 60));
+        workload.push_back(make_stream_windows(900 + s, count, 2));
+      }
+
+      // Each feeder owns 8 streams and walks them in a random order.
+      std::vector<std::thread> feeders;
+      for (std::size_t f = 0; f < kFeeders; ++f)
+        feeders.emplace_back([&, f] {
+          Rng feed_rng(0xb10c + f * 31 + shards);
+          std::vector<std::size_t> cursor(kStreamsPerFeeder, 0);
+          std::vector<std::size_t> open;
+          for (std::size_t j = 0; j < kStreamsPerFeeder; ++j)
+            open.push_back(j);
+          while (!open.empty()) {
+            const std::size_t pick = static_cast<std::size_t>(
+                feed_rng.uniform_index(open.size()));
+            const std::size_t local = open[pick];
+            const std::size_t s = f * kStreamsPerFeeder + local;
+            engine.ingest(handles[s], workload[s][cursor[local]]);
+            if (++cursor[local] == workload[s].size())
+              open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+          }
+        });
+      for (auto& t : feeders) t.join();
+      engine.drain();
+
+      std::uint64_t dropped = 0;
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        const std::string label = run + " stream " + std::to_string(s);
+        const auto& verdicts = engine.verdicts(handles[s]);
+        EXPECT_EQ(engine.ingested(handles[s]), workload[s].size()) << label;
+        dropped += engine.dropped(handles[s]);
+        if (!drop) {
+          EXPECT_EQ(engine.dropped(handles[s]), 0u) << label;
+          expect_verdicts_identical(
+              verdicts, serial_replay(model, policy, workload[s]), label);
+          continue;
+        }
+        EXPECT_EQ(verdicts.size() + engine.dropped(handles[s]),
+                  workload[s].size())
+            << label;
+        // In-order subsequence: each verdict's probability is the first
+        // counter of a later window of the feed than the one before.
+        std::size_t cursor = 0;
+        for (const auto& verdict : verdicts) {
+          while (cursor < workload[s].size() &&
+                 workload[s][cursor][0] != verdict.probability)
+            ++cursor;
+          ASSERT_LT(cursor, workload[s].size())
+              << label << ": verdict out of order or not from the feed";
+          ++cursor;
+        }
+      }
+      if (drop) EXPECT_GT(dropped, 0u) << run;
+      engine.shutdown();
+    }
   }
   metrics().reset();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -77,6 +78,29 @@ TEST(Rng, UniformIndexIsUnbiased) {
   const int n = 200000;
   for (int i = 0; i < n; ++i) ++counts[rng.uniform_index(10)];
   for (int c : counts) EXPECT_NEAR(c, n / 10, n / 10 * 0.06);
+}
+
+TEST(Rng, UniformIndexMatchesTheTwoDivisionFormula) {
+  // The reference computes the rejection threshold (2^64 - n) mod n on
+  // every draw; uniform_index skips it when the draw is >= n. The drawn
+  // indices and the generator state must not differ.
+  const auto reference = [](Rng& rng, std::uint64_t n) {
+    const std::uint64_t threshold = (~n + 1) % n;
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold) return r % n;
+    }
+  };
+  const std::uint64_t sizes[] = {1, 3, 120, std::uint64_t{1} << 32,
+                                 (std::uint64_t{1} << 63) + 5};
+  for (const std::uint64_t n : sizes) {
+    Rng fast(29);
+    Rng slow(29);
+    for (int i = 0; i < 20000; ++i)
+      ASSERT_EQ(fast.uniform_index(n), reference(slow, n))
+          << "n " << n << " draw " << i;
+    EXPECT_EQ(fast.next_u64(), slow.next_u64()) << "n " << n;
+  }
 }
 
 TEST(Rng, UniformIntInclusiveBounds) {

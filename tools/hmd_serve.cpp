@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   parser.add_size("--shards", &config.num_shards, "N",
                   "scoring shards (default 2)");
   parser.add_size("--ring", &config.ring_capacity, "N",
-                  "per-stream ring capacity (default " +
+                  "per-shard ring capacity in windows (default " +
                       std::to_string(serve::ServeConfig{}.ring_capacity) +
                       ")");
   parser.add_flag("--drop-oldest", &drop_oldest,
