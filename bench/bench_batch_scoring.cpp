@@ -1,11 +1,10 @@
 // Scoring-path throughput for the serving-critical predict loops:
 //
-//  * IBk — the plain brute-force scan (every acceleration hook off) vs
-//    the int16-screened scan vs the KD-tree index built at train time.
-//    All three paths are bit-identical by contract; this bench pins that
-//    with a prediction/distribution fingerprint and reports the indexed
-//    speedup over the brute path (target: >= 5x at thesis-shaped
-//    dimensionality) plus the screened intermediate.
+//  * IBk — the KD-tree index built at train time, IBk's one scoring
+//    path. It is bit-identical by contract to the plain brute-force scan
+//    in tests/ml/knn_reference.hpp; this bench pins that with a
+//    prediction/distribution fingerprint and reports the indexed rate
+//    against a fixed baseline.
 //  * MLR / SVM / MLP — per-row distribution() vs one distribution_batch
 //    call routed through the runtime-dispatched GEMM kernels (target:
 //    >= 2x, bit-identical).
@@ -37,6 +36,7 @@
 #include "ml/mlp.hpp"
 #include "ml/quantized.hpp"
 #include "ml/svm.hpp"
+#include "tests/ml/knn_reference.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -54,8 +54,8 @@ constexpr double kMinMeasureSeconds = 0.25;  ///< timing budget per path
 /// introduced, measured end to end (train + predict pipeline) on this
 /// generator's 50k-row shape by a throughput bench that has since been
 /// removed; docs/perf.md ("Measured effect") keeps the table. The KD-tree
-/// index's headline speedup is reported against this fixed reference, not
-/// the same-run brute pass, so the JSON tracks the trajectory.
+/// index's rate is reported against this fixed reference, so the JSON
+/// tracks the trajectory.
 constexpr double kPr3IbkBaselineRowsPerS = 11622.0;
 
 /// Gaussian blobs in the thesis dataset's shape; deterministic in `seed`.
@@ -99,6 +99,20 @@ std::uint64_t fnv_double(std::uint64_t h, double d) {
   return fnv_mix(h, bits);
 }
 
+/// Fingerprint of every row's argmax + distribution bits in `out`.
+std::uint64_t fingerprint_rows(const std::vector<double>& out,
+                               std::size_t k) {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t r = 0; r * k < out.size(); ++r) {
+    const double* row = out.data() + r * k;
+    const std::size_t p =
+        static_cast<std::size_t>(std::max_element(row, row + k) - row);
+    h = fnv_mix(h, p);
+    for (std::size_t c = 0; c < k; ++c) h = fnv_double(h, row[c]);
+  }
+  return h;
+}
+
 /// Scoring pass: fingerprint of every row's argmax + distribution bits
 /// (computed outside the timed region), plus best-epoch throughput — one
 /// pass is well under a millisecond on the GEMM paths, so single-shot
@@ -135,14 +149,7 @@ ScorePass run_pass(std::size_t rows, std::size_t k, const std::string& span,
     best = std::max(best, static_cast<double>(rows * reps) / total);
   }
   pass.rows_per_s = best;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = out.data() + r * k;
-    const std::size_t p =
-        static_cast<std::size_t>(std::max_element(row, row + k) - row);
-    pass.fingerprint = fnv_mix(pass.fingerprint, p);
-    for (std::size_t c = 0; c < k; ++c)
-      pass.fingerprint = fnv_double(pass.fingerprint, row[c]);
-  }
+  pass.fingerprint = fingerprint_rows(out, k);
   return pass;
 }
 
@@ -182,11 +189,8 @@ std::shared_ptr<const ml::Classifier> borrow(const ml::Classifier& c) {
 }
 
 struct KnnResult {
-  double brute_rows_per_s = 0.0;
-  double screened_rows_per_s = 0.0;
   double indexed_rows_per_s = 0.0;
   bool bit_identical = false;
-  bool index_built = false;
 };
 
 struct GemmResult {
@@ -222,22 +226,8 @@ void write_json(const std::string& path, std::size_t rows,
       << "  \"train_rows\": " << train_rows << ",\n"
       << "  \"predict_rows\": " << predict_rows << ",\n"
       << "  \"knn\": {\n"
-      << "    \"brute_rows_per_s\": " << knn.brute_rows_per_s << ",\n"
-      << "    \"screened_rows_per_s\": " << knn.screened_rows_per_s << ",\n"
       << "    \"indexed_rows_per_s\": " << knn.indexed_rows_per_s << ",\n"
-      << "    \"speedup\": "
-      << (knn.brute_rows_per_s > 0.0
-              ? knn.indexed_rows_per_s / knn.brute_rows_per_s
-              : 0.0)
-      << ",\n"
-      << "    \"speedup_vs_screened\": "
-      << (knn.screened_rows_per_s > 0.0
-              ? knn.indexed_rows_per_s / knn.screened_rows_per_s
-              : 0.0)
-      << ",\n"
       << "    \"bit_identical\": " << (knn.bit_identical ? "true" : "false")
-      << ",\n"
-      << "    \"index_built\": " << (knn.index_built ? "true" : "false")
       << ",\n"
       << "    \"pr3_baseline_rows_per_s\": " << kPr3IbkBaselineRowsPerS
       << ",\n"
@@ -287,56 +277,27 @@ int main() {
                data.num_instances(), train.num_instances(), score_rows,
                kFeatures, kClasses);
 
-  // ---- IBk: plain brute scan vs int16-screened scan vs KD-tree index,
-  //      same model, same rows. The brute pass caps its measured rows so
-  //      a ~2 rows/ms linear scan cannot stall the bench; rows/s is
-  //      row-count-invariant for a full scan, and the fingerprint check
-  //      below still covers every scored row via the screened pass.
+  // ---- IBk: the KD-tree index, checked against the brute-force
+  //      reference scan over the same rows (one untimed pass).
   KnnResult knn_result;
   {
     ml::Knn knn(5);
     knn.train(train);
-    knn_result.index_built = knn.has_index();
-    knn.set_index_enabled(false);
-    knn.set_screen_enabled(false);
-    const std::size_t brute_rows = std::min<std::size_t>(score_rows, 512);
-    const std::vector<double> brute_flat(
-        flat.begin(), flat.begin() + brute_rows * kFeatures);
-    const ScorePass brute =
-        score_batch(knn, brute_flat, brute_rows, "batch/IBk/brute");
-    knn.set_screen_enabled(true);
-    const ScorePass screened =
-        score_batch(knn, flat, score_rows, "batch/IBk/screened");
-    knn.set_index_enabled(true);
     const ScorePass indexed =
         score_batch(knn, flat, score_rows, "batch/IBk/indexed");
-    // Reference fingerprint of the brute path over the full scoring slice
-    // (one untimed pass — the timed brute pass covers a prefix).
-    knn.set_index_enabled(false);
-    knn.set_screen_enabled(false);
-    std::vector<double> ref(score_rows * knn.num_classes());
-    knn.distribution_batch(flat, kFeatures, ref);
-    std::uint64_t ref_fp = kFnvOffset;
-    for (std::size_t r = 0; r < score_rows; ++r) {
-      const double* row = ref.data() + r * knn.num_classes();
-      const std::size_t p = static_cast<std::size_t>(
-          std::max_element(row, row + knn.num_classes()) - row);
-      ref_fp = fnv_mix(ref_fp, p);
-      for (std::size_t c = 0; c < knn.num_classes(); ++c)
-        ref_fp = fnv_double(ref_fp, row[c]);
-    }
-    knn_result.brute_rows_per_s = brute.rows_per_s;
-    knn_result.screened_rows_per_s = screened.rows_per_s;
+    const ml::testref::KnnReference brute_force(train, 5);
+    std::vector<double> ref(score_rows * brute_force.num_classes());
+    brute_force.distribution_batch(flat, kFeatures, ref);
     knn_result.indexed_rows_per_s = indexed.rows_per_s;
     knn_result.bit_identical =
-        ref_fp == screened.fingerprint && ref_fp == indexed.fingerprint;
+        fingerprint_rows(ref, brute_force.num_classes()) ==
+        indexed.fingerprint;
     std::fprintf(stderr,
-                 "[bench] batch IBk  brute %9.0f rows/s | screened %9.0f "
-                 "rows/s | indexed %9.0f rows/s | speedup %5.1fx "
-                 "(vs screened %4.1fx) | bit_identical=%s\n",
-                 brute.rows_per_s, screened.rows_per_s, indexed.rows_per_s,
-                 indexed.rows_per_s / brute.rows_per_s,
-                 indexed.rows_per_s / screened.rows_per_s,
+                 "[bench] batch IBk  indexed %9.0f rows/s | %4.1fx the "
+                 "%.0f rows/s baseline | bit_identical=%s\n",
+                 indexed.rows_per_s,
+                 indexed.rows_per_s / kPr3IbkBaselineRowsPerS,
+                 kPr3IbkBaselineRowsPerS,
                  knn_result.bit_identical ? "yes" : "NO");
   }
 

@@ -1,5 +1,6 @@
 #include "core/deployment.hpp"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -48,12 +49,18 @@ DeploymentBundle::DeploymentBundle(std::unique_ptr<ml::Classifier> model,
 
 std::vector<double> DeploymentBundle::project(
     std::span<const double> full) const {
-  if (features_.indices.empty()) return {full.begin(), full.end()};
+  if (features_.indices.empty()) {
+    require_finite_window(full, "DeploymentBundle");
+    return {full.begin(), full.end()};
+  }
   std::vector<double> projected;
   projected.reserve(features_.indices.size());
   for (std::size_t idx : features_.indices) {
     HMD_REQUIRE(idx < full.size(),
                 "DeploymentBundle: counter vector too short");
+    if (!std::isfinite(full[idx])) [[unlikely]]
+      throw PreconditionError("DeploymentBundle: counter " +
+                              std::to_string(idx) + " is not finite");
     projected.push_back(full[idx]);
   }
   return projected;

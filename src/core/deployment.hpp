@@ -63,6 +63,8 @@ class DeploymentBundle {
   FeatureSet features_;
   OnlineDetectorConfig policy_;
 
+  /// The counters the model reads. Throws PreconditionError naming the
+  /// first of them that is NaN or ±inf (see require_finite_window).
   std::vector<double> project(std::span<const double> full) const;
 };
 

@@ -110,6 +110,15 @@ std::vector<OnlineDetector::Verdict> OnlineDetector::score_windows(
               "score_windows: input not a whole number of windows");
   const std::size_t num_windows = flat.size() / window_size;
   HMD_TRACE_SPAN("online_detector/score_windows");
+  // Every window is checked before any is scored, so a rejected call
+  // advances no monitor state (see require_finite_window).
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    if (!std::isfinite(flat[i])) [[unlikely]]
+      throw PreconditionError("OnlineDetector::score_windows: window " +
+                              std::to_string(i / window_size) +
+                              ": counter " +
+                              std::to_string(i % window_size) +
+                              " is not finite");
 
   // Stage 1 (parallel): per-window malware probabilities, computed chunk
   // by chunk through distribution_batch so schemes with buffer-reusing

@@ -89,7 +89,8 @@ class OnlineDetector {
   /// across `pool` (nullptr = serial); the streak/alarm state machine then
   /// replays serially in window order, so the verdicts and final detector
   /// state are bit-identical to calling observe() on each window in
-  /// sequence.
+  /// sequence. Throws PreconditionError naming the window and counter of
+  /// the first non-finite value, before any window is scored.
   std::vector<Verdict> score_windows(std::span<const double> flat,
                                      std::size_t window_size,
                                      ThreadPool* pool = nullptr);

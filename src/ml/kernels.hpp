@@ -102,9 +102,6 @@ void force_isa(Isa isa);
 /// unknown names and unsupported CPUs — the --isa plumbing of the tools.
 void force_isa_by_name(const std::string& name);
 
-/// Rows per quantized-screen block (see screen_squared_l2_i16).
-inline constexpr std::size_t kScreenBlock = 256;
-
 /// Entries a screen block occupies for `rows` rows of `dims` dimensions in
 /// the dim-pair-interleaved layout below (odd widths pad a zero dimension).
 inline constexpr std::size_t screen_block_entries(std::size_t rows,
@@ -147,11 +144,10 @@ void screen_squared_l2_i16_as(Isa isa, const std::int16_t* block,
                               const std::int16_t* qx, std::size_t dims,
                               std::size_t rows, std::int32_t* acc);
 
-/// Rows per KD-tree-leaf screen block. Leaves are deliberately much
-/// smaller than the brute-force screen block: the tree prunes at leaf
-/// granularity, so small leaves mean each query touches a small fraction
-/// of the store, while the brute scan streams everything anyway and
-/// prefers the long-stride block.
+/// Most points a KD-tree leaf holds (Knn::build_index): a node of at most
+/// this many points is not split further, and each leaf carries one
+/// screen block. The tree prunes at leaf granularity, so small leaves
+/// mean each query touches a small fraction of the store.
 inline constexpr std::size_t kLeafBlock = 768;
 
 /// Bitmask of screen survivors: bit b of mask[b/64] is set iff

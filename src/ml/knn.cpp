@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -19,25 +18,26 @@ namespace {
 // The k-closest heap protocol every scoring path must reproduce exactly:
 // push_heap/pop_heap on a vector of (distance², label) with the default
 // pair comparator — a bit-level mirror of the pre-refactor per-row
-// std::priority_queue, ties included. Returns true when the heap filled
-// up or improved (the screen threshold can then tighten).
-bool offer(std::vector<std::pair<double, std::size_t>>& heap, std::size_t k,
+// std::priority_queue, ties included.
+void offer(std::vector<std::pair<double, std::size_t>>& heap, std::size_t k,
            double d2, std::size_t label) {
   if (heap.size() < k) {
     heap.emplace_back(d2, label);
     std::push_heap(heap.begin(), heap.end());
-    return heap.size() == k;
-  }
-  if (d2 < heap.front().first) {
+  } else if (d2 < heap.front().first) {
     std::pop_heap(heap.begin(), heap.end());
     heap.back() = {d2, label};
     std::push_heap(heap.begin(), heap.end());
-    return true;
   }
-  return false;
 }
 
 // Integer screen threshold derived from the current k-th distance. The
+// screen sum S_q is an exact-integer lower bound on the true distance:
+// with per-coordinate reconstruction error at most
+// err_j = |x_j - dequant(qx_j)| + qscale/2 and E = ||err||_2, the triangle
+// inequality gives ||x - p|| >= qscale*sqrt(S_q) - E. A candidate with
+// qscale*sqrt(S_q) - E > sqrt(kth) therefore cannot beat the k-th
+// distance, and rejecting it unscanned leaves the verdict unchanged. The
 // 1e-12 relative slack dwarfs the ~1e-15 rounding of the exact double
 // scan while staying far below the quantization margin, so a candidate
 // with screen sum > thr provably cannot enter the heap.
@@ -52,11 +52,12 @@ std::int32_t screen_threshold(double kth_d2, double err, double qscale) {
 
 void Knn::train(const DatasetView& data) {
   require_trainable(data);
-  HMD_REQUIRE(k_ >= 1, "Knn: k must be at least 1");
+  HMD_REQUIRE(requested_k_ >= 1, "Knn: k must be at least 1");
   num_classes_ = data.num_classes();
   standardizer_.fit(data);
   const std::size_t n = data.num_instances();
   const std::size_t d = data.num_features();
+  k_ = std::min(requested_k_, n);
   points_.assign(n * d, 0.0);
   labels_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -65,65 +66,13 @@ void Knn::train(const DatasetView& data) {
                               {points_.data() + i * d, d});
     labels_[i] = data.class_of(i);
   }
-  build_quantized();
   build_index();
 }
 
-void Knn::build_quantized() {
-  constexpr std::size_t B = kernels::kScreenBlock;
-  const std::size_t d = dim();
-  qpoints_.clear();
-  // The grid span adapts to dims (see below), but past 128 dimensions
-  // even the legacy 12-bit grid would be coarsened; the screen is simply
-  // disabled there and the scans fall back to plain exact distances.
-  if (points_.empty() || d > 128) return;
-  double lo = points_[0];
-  double hi = points_[0];
-  for (double v : points_) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  qlo_ = lo;
-  const double range = hi - lo;
-  // Grid span: the finest even span with d * span² <= INT32_MAX (so
-  // per-lane screen sums cannot overflow) whose diffs still fit int16.
-  // At d = 128 this reproduces the legacy 4094-step 12-bit grid; narrower
-  // stores get a proportionally finer grid, a proportionally smaller
-  // reconstruction error, and therefore a tighter screen threshold —
-  // fewer quantization-slack survivors reach the exact double scan.
-  std::int64_t span = static_cast<std::int64_t>(
-      std::sqrt(2147483647.0 / static_cast<double>(d)));
-  span &= ~std::int64_t{1};  // even: the centre offset span/2 is integral
-  while (span > 2 && span * span * static_cast<std::int64_t>(d) > 2147483647)
-    span -= 2;
-  qspan_ = std::min<std::int64_t>(span, 32766);
-  qscale_ = range > 0.0 ? range / static_cast<double>(qspan_) : 1.0;
-  const std::size_t n = labels_.size();
-  const std::size_t padded = (n + B - 1) / B * B;
-  const std::size_t entries = kernels::screen_block_entries(B, d);
-  qpoints_.assign(padded / B * entries, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < d; ++j) {
-      // Training values always land inside [lo, hi], so the rounded grid
-      // index is in [0, qspan_] and the representation error is at most
-      // qscale_/2 per coordinate. Dim-pair-interleaved layout within each
-      // block — the shape the screen kernel's madd step consumes.
-      const double t = (points_[i * d + j] - qlo_) / qscale_;
-      qpoints_[(i / B) * entries + kernels::screen_block_index(B, i % B, j)] =
-          static_cast<std::int16_t>(std::llround(t) - qspan_ / 2);
-    }
-  }
-}
-
 void Knn::build_index() {
-  // Small leaves are the point of the tree: pruning happens at leaf
-  // granularity, so the per-query work scales with how few points the
-  // leaves near the query hold. The brute path keeps its long
-  // kScreenBlock stride — it streams everything regardless.
+  // One rule for a store of any size: a node of at most kLeafBlock points
+  // is a leaf, so a small store is a single leaf.
   constexpr std::size_t B = kernels::kLeafBlock;
-  // Below this the tree is a couple of leaves of linear scan plus
-  // traversal overhead — the brute path is already optimal.
-  constexpr std::size_t kIndexMinPoints = 2 * kernels::kLeafBlock;
   const std::size_t d = dim();
   const std::size_t n = labels_.size();
   nodes_.clear();
@@ -132,9 +81,8 @@ void Knn::build_index() {
   perm_.clear();
   tree_points_.clear();
   qtree_.clear();
-  if (n < kIndexMinPoints || k_ * 4 >= n) return;
-  // Box pruning needs finite geometry; a store with non-finite values
-  // (degenerate upstream data) keeps the legacy brute-force behaviour.
+  // Box pruning and the grid need finite geometry; a store with non-finite
+  // values (degenerate upstream data) is scored by the plain scan.
   for (double v : points_)
     if (!std::isfinite(v)) return;
 
@@ -189,28 +137,49 @@ void Knn::build_index() {
     std::copy_n(points_.data() + std::size_t{perm_[pos]} * d, d,
                 tree_points_.data() + pos * d);
 
-  // One int16 screen block per leaf on the same grid as qpoints_
-  // (identical quantization formula, so the screen bound carries over).
-  // Blocks are sized to the leaf's actual row count rounded up to the
-  // kernel's 16-row granule — NOT to kLeafBlock: the midpoint split
-  // snaps real leaf sizes to n/2^depth, and screening a block padded all
-  // the way to kLeafBlock would waste up to half the screen bandwidth on
-  // zero rows.
-  if (!qpoints_.empty()) {
-    for (KdNode& nd : nodes_) {
-      if (nd.left != 0) continue;
-      const std::size_t rows16 = (nd.end - nd.begin + 15) / 16 * 16;
-      nd.qoff = static_cast<std::uint32_t>(qtree_.size());
-      qtree_.resize(qtree_.size() + kernels::screen_block_entries(rows16, d),
-                    0);
-      for (std::uint32_t b = 0; b < nd.end - nd.begin; ++b) {
-        const double* row =
-            tree_points_.data() + std::size_t{nd.begin + b} * d;
-        for (std::size_t j = 0; j < d; ++j) {
-          const double t = (row[j] - qlo_) / qscale_;
-          qtree_[nd.qoff + kernels::screen_block_index(rows16, b, j)] =
-              static_cast<std::int16_t>(std::llround(t) - qspan_ / 2);
-        }
+  // The grid spans the root box, which holds every stored value.
+  const double lo = *std::min_element(box_lo_.begin(), box_lo_.begin() + d);
+  const double hi = *std::max_element(box_hi_.begin(), box_hi_.begin() + d);
+  const double range = hi - lo;
+  // Past 128 dimensions (the screen's query scratch packs at most 64
+  // dimension pairs), or when the values span more than a double can hold
+  // (range overflows to inf, and the reconstruction error would be NaN),
+  // the leaves are scanned in doubles alone.
+  if (d > 128 || !std::isfinite(range)) return;
+  qlo_ = lo;
+  // Grid span: the finest even span with d * span² <= INT32_MAX (so
+  // per-lane screen sums cannot overflow) whose diffs still fit int16.
+  // At d = 128 this is the 4094-step 12-bit grid; narrower stores get a
+  // proportionally finer grid, a proportionally smaller reconstruction
+  // error, and therefore a tighter screen threshold — fewer
+  // quantization-slack survivors reach the exact double scan.
+  std::int64_t span = static_cast<std::int64_t>(
+      std::sqrt(2147483647.0 / static_cast<double>(d)));
+  span &= ~std::int64_t{1};  // even: the centre offset span/2 is integral
+  while (span > 2 && span * span * static_cast<std::int64_t>(d) > 2147483647)
+    span -= 2;
+  qspan_ = std::min<std::int64_t>(span, 32766);
+  qscale_ = range > 0.0 ? range / static_cast<double>(qspan_) : 1.0;
+
+  // One int16 screen block per leaf, sized to the leaf's actual row count
+  // rounded up to the kernel's 16-row granule — NOT to kLeafBlock: the
+  // midpoint split snaps real leaf sizes to n/2^depth, and screening a
+  // block padded all the way to kLeafBlock would waste up to half the
+  // screen bandwidth on zero rows. Training values always land inside
+  // [qlo_, qlo_ + range], so the rounded grid index is in [0, qspan_] and
+  // the representation error is at most qscale_/2 per coordinate.
+  for (KdNode& nd : nodes_) {
+    if (nd.left != 0) continue;
+    const std::size_t rows16 = (nd.end - nd.begin + 15) / 16 * 16;
+    nd.qoff = static_cast<std::uint32_t>(qtree_.size());
+    qtree_.resize(qtree_.size() + kernels::screen_block_entries(rows16, d),
+                  0);
+    for (std::uint32_t b = 0; b < nd.end - nd.begin; ++b) {
+      const double* row = tree_points_.data() + std::size_t{nd.begin + b} * d;
+      for (std::size_t j = 0; j < d; ++j) {
+        const double t = (row[j] - qlo_) / qscale_;
+        qtree_[nd.qoff + kernels::screen_block_index(rows16, b, j)] =
+            static_cast<std::int16_t>(std::llround(t) - qspan_ / 2);
       }
     }
   }
@@ -220,8 +189,7 @@ double Knn::quantize_query(std::span<const double> x,
                            std::vector<std::int16_t>& qx) const {
   // Quantize the query onto the training grid, tracking its exact
   // reconstruction error (clamped coordinates just widen the error term —
-  // the bound stays rigorous; callers gate non-finite queries off the
-  // screened paths entirely).
+  // the bound stays rigorous; non-finite queries never reach the screen).
   const std::size_t d = x.size();
   qx.resize(d);
   double err_sq = 0.0;
@@ -240,79 +208,14 @@ double Knn::quantize_query(std::span<const double> x,
   return std::sqrt(err_sq);
 }
 
-// Brute-force reference scan. The int16 screen is an exact-integer lower
-// bound on the true distance: with per-coordinate reconstruction error at
-// most err_j = |x_j - dequant(qx_j)| + qscale/2 and E = ||err||_2, the
-// triangle inequality gives ||x - p|| >= qscale*||qx - qp|| - E. A
-// candidate with qscale*sqrt(S_q) - E > sqrt(cap) therefore cannot beat
-// the heap's k-th distance, whether or not its exact distance is ever
-// computed — rejecting it is provably identical to the full scan.
-// Survivors get the exact left-to-right double scan, so every distance
-// that reaches the heap is bit-identical to the unscreened code.
-void Knn::score_brute(std::span<const double> x, Scratch& s,
-                      bool finite) const {
-  constexpr std::size_t B = kernels::kScreenBlock;
+// Plain exact scan in store order: the path for a non-finite query or a
+// store holding a non-finite value.
+void Knn::score_scan(std::span<const double> x, Scratch& s) const {
   const std::size_t d = x.size();
-  const std::size_t n = labels_.size();
   s.heap.clear();
-
-  if (qpoints_.empty() || !screen_enabled_ || !finite) {
-    // Screen disabled (too many dimensions or the bench/test hook) or a
-    // non-finite query (its reconstruction-error bound would be
-    // meaningless): plain exact scan.
-    for (std::size_t i = 0; i < n; ++i)
-      offer(s.heap, k_,
-            kernels::squared_l2({points_.data() + i * d, d}, x), labels_[i]);
-    return;
-  }
-
-  const double err = quantize_query(x, s.qx);
-  const kernels::Isa isa = kernels::active_isa();
-  // Seed the heap with the first k rows so a finite screen threshold
-  // exists before any block is masked — an INT32_MAX threshold would
-  // make the first block's mask all-ones and force a slow bit-walk over
-  // every row. The threshold is then refreshed on every heap
-  // improvement; blocks screened against a momentarily stale (larger)
-  // threshold only pass extra candidates to the exact path, never
-  // reject a viable one.
-  std::int32_t thr = std::numeric_limits<std::int32_t>::max();
-  std::size_t start = 0;
-  while (start < n && s.heap.size() < k_) {
-    offer(s.heap, k_,
-          kernels::squared_l2({points_.data() + start * d, d}, x),
-          labels_[start]);
-    ++start;
-  }
-  if (s.heap.size() == k_)
-    thr = screen_threshold(s.heap.front().first, err, qscale_);
-  const std::size_t entries = kernels::screen_block_entries(B, d);
-  std::array<std::int32_t, B> acc;
-  std::array<std::uint64_t, B / 64> mask;
-  for (std::size_t base = 0; base < n; base += B) {
-    kernels::screen_squared_l2_i16_as(isa,
-                                      qpoints_.data() + (base / B) * entries,
-                                      s.qx.data(), d, B, acc.data());
-    const std::size_t lim = std::min(B, n - base);
-    // Survivors via one vectorized compare per block: computed against the
-    // block-entry threshold, so the per-survivor recheck below (thr may
-    // have tightened within the block) stays load-bearing.
-    kernels::mask_le_i32_as(isa, acc.data(), B, thr, mask.data());
-    for (std::size_t w = 0; w * 64 < B; ++w) {
-      std::uint64_t m = mask[w];
-      while (m != 0) {
-        const std::size_t b =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-        m &= m - 1;
-        if (b >= lim) break;  // zero padding rows at the store's end
-        if (base + b < start) continue;  // seed rows already offered
-        if (acc[b] > thr) continue;  // provably >= current k-th distance
-        const std::size_t i = base + b;
-        const double d2 = kernels::squared_l2({points_.data() + i * d, d}, x);
-        if (offer(s.heap, k_, d2, labels_[i]))
-          thr = screen_threshold(s.heap.front().first, err, qscale_);
-      }
-    }
-  }
+  for (std::size_t i = 0; i < labels_.size(); ++i)
+    offer(s.heap, k_, kernels::squared_l2({points_.data() + i * d, d}, x),
+          labels_[i]);
 }
 
 // Exact KD-tree scan in two phases.
@@ -496,10 +399,10 @@ void Knn::score_into(std::span<const double> x, Scratch& s,
       finite = false;
       break;
     }
-  if (finite && index_enabled_ && !nodes_.empty())
+  if (finite && has_index())
     score_indexed(x, s);
   else
-    score_brute(x, s, finite);
+    score_scan(x, s);
 
   std::fill(dist.begin(), dist.end(), 0.0);
   const double share = 1.0 / static_cast<double>(s.heap.size());
@@ -529,14 +432,13 @@ void Knn::distribution_batch(std::span<const double> flat,
   // Each row is scored independently, so the batch can be walked in any
   // order without changing a single verdict. Process rows grouped by
   // their leading feature: nearby queries visit the same handful of tree
-  // leaves, so each group's screen blocks and point rows stay hot in
-  // cache instead of being evicted between every pair of unrelated
-  // queries. (Skipped when there is no index — the brute scan streams
-  // the whole store regardless of query locality.) NaN keys sort last:
-  // `<` alone is no strict weak order over NaN, and std::sort needs one.
+  // leaves, so each group's screen blocks and point rows stay hot in cache
+  // instead of being evicted between every pair of unrelated queries. NaN
+  // keys sort last: `<` alone is no strict weak order over NaN, and
+  // std::sort needs one.
   s.order.resize(rows);
   std::iota(s.order.begin(), s.order.end(), 0u);
-  if (index_enabled_ && !nodes_.empty() && rows > 1)
+  if (rows > 1)
     std::sort(s.order.begin(), s.order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 const double ka = flat[std::size_t{a} * window_size];

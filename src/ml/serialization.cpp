@@ -318,7 +318,7 @@ struct ModelIo {
   }
   static void load(TokenReader& in, std::size_t classes, Knn& m) {
     m.num_classes_ = classes;
-    m.k_ = in.count_line("k");
+    m.k_ = m.requested_k_ = in.count_line("k");
     m.standardizer_ = read_standardizer(in);
     in.line("labels");
     while (!in.peek().empty())
@@ -330,7 +330,6 @@ struct ModelIo {
     for (const auto& row : read_matrix(in, "points", m.labels_.size(),
                                        m.standardizer_.num_features()))
       m.points_.insert(m.points_.end(), row.begin(), row.end());
-    m.build_quantized();
     m.build_index();
   }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -63,6 +64,10 @@ double parse_double(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), value);
   if (ec != std::errc{} || ptr != t.data() + t.size())
     throw ParseError("cannot parse '" + std::string(s) + "' as a real number");
+  // from_chars also accepts "nan", "inf" and "infinity"; no input this
+  // library reads (datasets, perf logs, flags) means one.
+  if (!std::isfinite(value))
+    throw ParseError("'" + std::string(s) + "' is not a finite real number");
   return value;
 }
 

@@ -22,7 +22,8 @@ std::string to_lower(std::string_view s);
 /// True if `s` starts with `prefix` (case-insensitive ASCII).
 bool istarts_with(std::string_view s, std::string_view prefix);
 
-/// Parse a double, throwing hmd::ParseError with context on failure.
+/// Parse a finite double, throwing hmd::ParseError with context on
+/// failure (NaN and ±inf spellings included).
 double parse_double(std::string_view s);
 
 /// Parse a non-negative integer, throwing hmd::ParseError on failure.

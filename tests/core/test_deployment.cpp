@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
@@ -136,6 +138,41 @@ TEST(DeploymentBundle, ShortCounterVectorThrows) {
   const DeploymentBundle bundle = make_bundle();  // needs index 3
   EXPECT_THROW((void)bundle.predict(std::vector<double>{1.0, 2.0}),
                PreconditionError);
+}
+
+TEST(DeploymentBundle, RejectsNonFiniteCountersTheModelReads) {
+  const DeploymentBundle bundle = make_bundle();  // reads counters 1 and 3
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const auto& call, const char* counter) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted a non-finite " << counter;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(counter), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::vector<double> bad_1{0.0, nan, 0.0, 1.0};
+  const std::vector<double> bad_3{0.0, 1.0, 0.0, -inf};
+  expect_rejected([&] { (void)bundle.predict(bad_1); }, "counter 1");
+  expect_rejected([&] { (void)bundle.malware_probability(bad_3); },
+                  "counter 3");
+  OnlineDetector monitor = bundle.make_monitor();
+  expect_rejected([&] { bundle.observe_full(monitor, bad_3); }, "counter 3");
+  EXPECT_EQ(monitor.windows_seen(), 0u);
+  // Counters the projection drops are never read, so they may be anything.
+  EXPECT_NO_THROW(
+      (void)bundle.malware_probability(std::vector<double>{nan, 1.0, inf, 1.0}));
+
+  // With no projection the model reads every counter.
+  const ml::Dataset full = separable_binary(100);
+  auto model = ml::make_classifier("J48");
+  model->train(full);
+  const DeploymentBundle identity(std::move(model), {}, {});
+  expect_rejected(
+      [&] { (void)identity.predict(std::vector<double>{0.0, 0.0, nan, 0.0}); },
+      "counter 2");
 }
 
 /// make_bundle() plus a cheap OneR fallback (bundle format v2).

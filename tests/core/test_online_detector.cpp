@@ -343,6 +343,37 @@ TEST(OnlineDetector, ObserveRejectsNonFiniteCounters) {
   EXPECT_EQ(det.windows_seen(), 1u);
 }
 
+TEST(OnlineDetector, ScoreWindowsRejectsNonFiniteCounters) {
+  StubModel model;
+  OnlineDetector det(model, {.flag_threshold = 0.9, .confirm_windows = 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The bad value sits in the last window, behind windows that would
+  // flag and alarm: none of them may be applied.
+  for (const auto& [flat, where] :
+       {std::pair{std::vector<double>{0.99, 0.0, 0.99, 0.0, nan, 0.0},
+                  "window 2: counter 0"},
+        std::pair{std::vector<double>{0.99, 0.0, 0.1, inf},
+                  "window 1: counter 1"},
+        std::pair{std::vector<double>{0.99, -inf}, "window 0: counter 1"}}) {
+    try {
+      det.score_windows(flat, 2);
+      ADD_FAILURE() << "scored windows with a non-finite value at " << where;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(det.windows_seen(), 0u) << where;
+    EXPECT_FALSE(det.alarmed()) << where;
+  }
+  const auto verdicts =
+      det.score_windows(std::vector<double>{0.1, 0.0, 0.99, 0.0}, 2);
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_FALSE(verdicts[0].flagged);
+  EXPECT_TRUE(verdicts[1].alarm);
+  EXPECT_EQ(det.windows_seen(), 2u);
+}
+
 TEST(OnlineDetector, ScoreWindowsRejectsMalformedInput) {
   StubModel model;
   OnlineDetector det(model);

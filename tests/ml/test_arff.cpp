@@ -146,6 +146,16 @@ TEST(Arff, NonNumericCellThrows) {
   EXPECT_THROW(read_arff(in), ParseError);
 }
 
+TEST(Arff, NonFiniteCellThrows) {
+  for (const char* cell : {"nan", "inf", "-inf"}) {
+    std::istringstream in(
+        std::string("@relation t\n@attribute f numeric\n"
+                    "@attribute class {a,b}\n@data\n1.0,a\n") +
+        cell + ",b\n");
+    EXPECT_THROW(read_arff(in), ParseError) << cell;
+  }
+}
+
 TEST(Arff, StrayHeaderGarbageThrows) {
   std::istringstream in("@relation t\nbogus line\n@data\n");
   EXPECT_THROW(read_arff(in), ParseError);
@@ -208,6 +218,13 @@ TEST(CsvBridge, BadNumericCellThrows) {
   CsvTable table;
   table.header = {"f", "class"};
   table.rows = {{"abc", "a"}};
+  EXPECT_THROW(dataset_from_csv(table), ParseError);
+}
+
+TEST(CsvBridge, NonFiniteCellThrows) {
+  CsvTable table;
+  table.header = {"f0", "f1", "class"};
+  table.rows = {{"1.0", "2.0", "a"}, {"3.0", "NaN", "b"}};
   EXPECT_THROW(dataset_from_csv(table), ParseError);
 }
 

@@ -63,6 +63,14 @@ TEST(ParseDouble, InvalidThrows) {
   EXPECT_THROW(parse_double(""), ParseError);
 }
 
+TEST(ParseDouble, NonFiniteThrows) {
+  for (const char* text :
+       {"nan", "NaN", "-nan", "nan(1)", "inf", "-inf", "+inf", "INF",
+        "infinity", " inf "})
+    EXPECT_THROW(parse_double(text), ParseError) << text;
+  EXPECT_THROW(parse_double("1e400"), ParseError);  // overflows to inf
+}
+
 TEST(ParseInt, ValidValues) {
   EXPECT_EQ(parse_int("42"), 42);
   EXPECT_EQ(parse_int(" -7 "), -7);
