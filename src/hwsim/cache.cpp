@@ -1,5 +1,6 @@
 #include "hwsim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/error.hpp"
@@ -20,122 +21,111 @@ void CacheConfig::validate() const {
               "capacity must divide evenly into sets");
   HMD_REQUIRE(std::has_single_bit(num_sets()),
               "number of sets must be a power of two");
+  HMD_REQUIRE(line_bytes * num_sets() >= 2,
+              "a 1-byte line needs at least two sets");
 }
 
 Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   config_.validate();
   const std::uint64_t sets = config_.num_sets();
-  set_mask_ = sets - 1;
+  ways_ = config_.ways;
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(config_.line_bytes)));
-  lines_.resize(sets * config_.ways);
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
+  tags_.resize(sets * ways_);
+  lru_.resize(sets * ways_);
+  dirty_.resize(sets * ways_);
   if (config_.policy == ReplacementPolicy::kRoundRobin)
-    rr_next_.assign(sets, 0);
+    rr_next_.resize(sets);
+  flush();
 }
 
-Cache::Line* Cache::choose_victim(Line* set_lines, std::uint64_t set) {
-  // Invalid ways are always preferred, regardless of policy.
-  for (std::uint32_t w = 0; w < config_.ways; ++w)
-    if (!set_lines[w].valid) return &set_lines[w];
-
-  switch (config_.policy) {
-    case ReplacementPolicy::kLru: {
-      Line* victim = set_lines;
-      for (std::uint32_t w = 1; w < config_.ways; ++w)
-        if (set_lines[w].lru < victim->lru) victim = &set_lines[w];
-      return victim;
+std::uint32_t Cache::choose_victim(std::size_t base, std::uint64_t set) {
+  if (config_.policy == ReplacementPolicy::kLru) {
+    // An invalid way's stamp is 0 and valid stamps are distinct and
+    // positive, so the first smallest stamp is the first invalid way, or
+    // else the least recently used one.
+    const std::uint64_t* lru = &lru_[base];
+    std::uint32_t victim = 0;
+    std::uint64_t oldest = lru[0];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+      const bool older = lru[w] < oldest;
+      victim = older ? w : victim;
+      oldest = older ? lru[w] : oldest;
     }
-    case ReplacementPolicy::kRoundRobin: {
-      const std::uint32_t w = rr_next_[set];
-      rr_next_[set] = (w + 1) % config_.ways;
-      return &set_lines[w];
-    }
-    case ReplacementPolicy::kRandom: {
-      // xorshift64: deterministic, stateful per cache instance.
-      rand_state_ ^= rand_state_ << 13;
-      rand_state_ ^= rand_state_ >> 7;
-      rand_state_ ^= rand_state_ << 17;
-      return &set_lines[rand_state_ % config_.ways];
-    }
+    return victim;
   }
-  return set_lines;
+
+  // Invalid ways are always preferred, regardless of policy.
+  const std::uint64_t* tags = &tags_[base];
+  for (std::uint32_t w = 0; w < ways_; ++w)
+    if (tags[w] == kInvalid) return w;
+  if (config_.policy == ReplacementPolicy::kRoundRobin) {
+    const std::uint32_t w = rr_next_[set];
+    rr_next_[set] = (w + 1) % ways_;
+    return w;
+  }
+  // kRandom — xorshift64: deterministic, stateful per cache instance.
+  rand_state_ ^= rand_state_ << 13;
+  rand_state_ ^= rand_state_ >> 7;
+  rand_state_ ^= rand_state_ << 17;
+  return static_cast<std::uint32_t>(rand_state_ % ways_);
 }
 
-Cache::Line* Cache::set_begin(std::uint64_t set) {
-  return &lines_[set * config_.ways];
+CacheAccessResult Cache::lookup(std::uint64_t addr, bool is_store,
+                                bool demand) {
+  const std::uint64_t block = addr >> line_shift_;
+  const std::uint64_t set = block & set_mask_;
+  const std::uint64_t tag = block >> set_shift_;
+  const std::size_t base = set * ways_;
+
+  if (demand) {
+    if (is_store)
+      ++stores_;
+    else
+      ++loads_;
+  }
+  ++lru_clock_;
+
+  const std::uint64_t* tags = &tags_[base];
+  std::uint32_t hit = ways_;
+  for (std::uint32_t w = 0; w < ways_; ++w) hit = tags[w] == tag ? w : hit;
+  if (hit != ways_) {
+    lru_[base + hit] = lru_clock_;
+    dirty_[base + hit] |= static_cast<std::uint8_t>(is_store);
+    return {.hit = true, .writeback = false};
+  }
+
+  if (demand) {
+    if (is_store)
+      ++store_misses_;
+    else
+      ++load_misses_;
+  }
+  // An invalid way is never dirty, so its eviction writes nothing back.
+  const std::size_t victim = base + choose_victim(base, set);
+  const bool writeback = dirty_[victim] != 0;
+  tags_[victim] = tag;
+  lru_[victim] = lru_clock_;
+  dirty_[victim] = static_cast<std::uint8_t>(is_store);
+  return {.hit = false, .writeback = writeback};
 }
 
 CacheAccessResult Cache::access(std::uint64_t addr, bool is_store) {
-  const std::uint64_t block = addr >> line_shift_;
-  const std::uint64_t set = block & set_mask_;
-  const std::uint64_t tag = block >> std::countr_zero(set_mask_ + 1);
-
-  if (is_store)
-    ++stores_;
-  else
-    ++loads_;
-
-  Line* set_lines = set_begin(set);
-  ++lru_clock_;
-  // On LRU counter wrap, re-base the whole set ordering (rare).
-  if (lru_clock_ == 0) {
-    for (auto& l : lines_) l.lru = 0;
-    lru_clock_ = 1;
-  }
-
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = set_lines[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = lru_clock_;
-      if (is_store) line.dirty = true;
-      return {.hit = true, .writeback = false};
-    }
-  }
-
-  if (is_store)
-    ++store_misses_;
-  else
-    ++load_misses_;
-
-  Line* victim = choose_victim(set_lines, set);
-  const bool writeback = victim->valid && victim->dirty;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = lru_clock_;
-  victim->dirty = is_store;
-  return {.hit = false, .writeback = writeback};
+  return lookup(addr, is_store, /*demand=*/true);
 }
 
 CacheAccessResult Cache::fill(std::uint64_t addr) {
-  // Same lookup/replacement as access(), but without statistics and
-  // without dirtying the line.
-  const std::uint64_t block = addr >> line_shift_;
-  const std::uint64_t set = block & set_mask_;
-  const std::uint64_t tag = block >> std::countr_zero(set_mask_ + 1);
-
-  Line* set_lines = set_begin(set);
-  ++lru_clock_;
-  if (lru_clock_ == 0) {
-    for (auto& l : lines_) l.lru = 0;
-    lru_clock_ = 1;
-  }
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = set_lines[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = lru_clock_;
-      return {.hit = true, .writeback = false};
-    }
-  }
-  Line* victim = choose_victim(set_lines, set);
-  const bool writeback = victim->valid && victim->dirty;
-  *victim = {.tag = tag, .lru = lru_clock_, .valid = true, .dirty = false};
-  return {.hit = false, .writeback = writeback};
+  return lookup(addr, /*is_store=*/false, /*demand=*/false);
 }
 
 void Cache::flush() {
-  for (auto& l : lines_) l = Line{};
+  std::fill(tags_.begin(), tags_.end(), kInvalid);
+  std::fill(lru_.begin(), lru_.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   lru_clock_ = 0;
-  rr_next_.assign(rr_next_.size(), 0);
+  std::fill(rr_next_.begin(), rr_next_.end(), 0);
   rand_state_ = kRandSeed;
 }
 

@@ -3,6 +3,12 @@
 // Timing is not modeled here; the Core charges miss penalties. The cache
 // only answers hit/miss and maintains per-port access statistics, which is
 // all the PMU needs.
+//
+// Layout for host speed: tags, recency stamps and dirty bits live in three
+// flat arrays, one run of `ways` entries per set, so a set's tags share a
+// host cache line. A lookup compares every tag of the set without an early
+// exit (tags in a set are distinct, so at most one matches), and the LRU
+// victim is the first smallest stamp, with 0 marking an invalid way.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +33,8 @@ struct CacheConfig {
   ReplacementPolicy policy = ReplacementPolicy::kLru;
 
   std::uint64_t num_sets() const;
-  /// Validates the geometry (power-of-two sets/lines, size divisible).
+  /// Validates the geometry (power-of-two sets/lines, size divisible, and
+  /// at least two bytes per set so that a tag has fewer than 64 bits).
   void validate() const;
 };
 
@@ -66,28 +73,33 @@ class Cache {
   void reset_stats();
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint32_t lru = 0;  ///< higher = more recently used
-    bool valid = false;
-    bool dirty = false;
-  };
+  /// Tag of an invalid way. No tag reaches it: validate() leaves at least
+  /// one address bit to the line offset or the set index.
+  static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+  static constexpr std::uint64_t kRandSeed = 0x9e3779b97f4a7c15ull;
+
+  /// The one lookup/replacement body. A demand access counts statistics
+  /// and dirties the line on a store; a fill (`demand == false`) does not.
+  CacheAccessResult lookup(std::uint64_t addr, bool is_store, bool demand);
+  /// Way to replace in `set`, whose ways start at `base`.
+  std::uint32_t choose_victim(std::size_t base, std::uint64_t set);
 
   CacheConfig config_;
-  std::uint64_t set_mask_;
+  std::uint32_t ways_;
   std::uint32_t line_shift_;
-  std::vector<Line> lines_;  ///< sets * ways, row-major by set
+  std::uint32_t set_shift_;
+  std::uint64_t set_mask_;
+  // sets * ways entries each, row-major by set.
+  std::vector<std::uint64_t> tags_;  ///< line tag, or kInvalid
+  std::vector<std::uint64_t> lru_;   ///< last-use stamp; 0 while invalid
+  std::vector<std::uint8_t> dirty_;  ///< 1 = modified since the fill
+  std::uint64_t lru_clock_ = 0;
   std::uint64_t loads_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t load_misses_ = 0;
   std::uint64_t store_misses_ = 0;
-  std::uint32_t lru_clock_ = 0;
-  static constexpr std::uint64_t kRandSeed = 0x9e3779b97f4a7c15ull;
   std::vector<std::uint32_t> rr_next_;  ///< round-robin pointer per set
   std::uint64_t rand_state_ = kRandSeed;  ///< xorshift64 state
-
-  Line* set_begin(std::uint64_t set);
-  Line* choose_victim(Line* set_lines, std::uint64_t set);
 };
 
 /// Haswell-i5-4590-shaped cache geometry (per the thesis's test machine).

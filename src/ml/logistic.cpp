@@ -1,23 +1,11 @@
 #include "ml/logistic.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ml/kernels.hpp"
 #include "util/error.hpp"
 
 namespace hmd::ml {
-
-void softmax_inplace(std::vector<double>& logits) {
-  HMD_REQUIRE(!logits.empty(), "softmax of empty vector");
-  const double mx = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& v : logits) {
-    v = std::exp(v - mx);
-    total += v;
-  }
-  for (double& v : logits) v /= total;
-}
 
 void Logistic::train(const DatasetView& data) {
   require_trainable(data);
@@ -112,20 +100,8 @@ void Logistic::distribution_batch(std::span<const double> flat,
                               stddev, x.data());
     kernels::affine_batch(x.data(), lim, window_size, packed_.data(), k,
                           out.data() + base * k);
-    for (std::size_t r = 0; r < lim; ++r) {
-      const std::span<double> logits = out.subspan((base + r) * k, k);
-      // Stable softmax in place in the output slice. The max element's
-      // shifted logit is exactly 0.0 and std::exp(0.0) is exactly 1.0, so
-      // skipping the libm call there changes nothing but the call count.
-      const double mx = *std::max_element(logits.begin(), logits.end());
-      double total = 0.0;
-      for (double& v : logits) {
-        const double t = v - mx;
-        v = t == 0.0 ? 1.0 : std::exp(t);
-        total += v;
-      }
-      for (double& v : logits) v /= total;
-    }
+    for (std::size_t r = 0; r < lim; ++r)
+      softmax_inplace(out.subspan((base + r) * k, k));
   }
 }
 

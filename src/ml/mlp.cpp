@@ -156,18 +156,8 @@ void Mlp::distribution_batch(std::span<const double> flat,
     for (std::size_t i = 0; i < lim * h; ++i) hidden[i] = sigmoid(hidden[i]);
     kernels::affine_batch(hidden.data(), lim, h, packed2_.data(), k,
                           out.data() + base * k);
-    for (std::size_t r = 0; r < lim; ++r) {
-      const std::span<double> logits = out.subspan((base + r) * k, k);
-      // exp(0.0) == 1.0 exactly, so the max element skips the libm call.
-      const double mx = *std::max_element(logits.begin(), logits.end());
-      double total = 0.0;
-      for (double& v : logits) {
-        const double t = v - mx;
-        v = t == 0.0 ? 1.0 : std::exp(t);
-        total += v;
-      }
-      for (double& v : logits) v /= total;
-    }
+    for (std::size_t r = 0; r < lim; ++r)
+      softmax_inplace(out.subspan((base + r) * k, k));
   }
 }
 

@@ -10,7 +10,10 @@
 // reading ground-truth counts (used by the multiplexing-error ablation).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hwsim/core.hpp"
@@ -54,7 +57,8 @@ struct CollectorConfig {
 };
 
 /// Runs the collection loop over any op source (workload::Sandbox or a raw
-/// TraceGenerator — anything with `hwsim::MicroOp next()`).
+/// TraceGenerator — anything with `hwsim::MicroOp next()` whose stream does
+/// not depend on the core's state).
 class HpcCollector {
  public:
   explicit HpcCollector(CollectorConfig config = {});
@@ -157,9 +161,20 @@ class HpcCollector {
     return sample;
   }
 
+  /// Retires the next `n` ops of `source`. They are generated a chunk at a
+  /// time into a stack buffer and retired by one Core::execute(span) call
+  /// per chunk. A source never reads the core, so the op stream and every
+  /// count are the same as retiring each op as it is generated.
   template <typename Source>
   static void run_ops(hwsim::Core& core, Source& source, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) core.execute(source.next());
+    constexpr std::size_t kChunkOps = 256;
+    std::array<hwsim::MicroOp, kChunkOps> buffer;
+    while (n > 0) {
+      const std::size_t m = std::min(n, kChunkOps);
+      for (std::size_t i = 0; i < m; ++i) buffer[i] = source.next();
+      core.execute(std::span<const hwsim::MicroOp>(buffer.data(), m));
+      n -= m;
+    }
   }
 };
 

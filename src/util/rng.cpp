@@ -15,12 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& w : state_) w = splitmix64(s);
@@ -29,37 +23,14 @@ Rng::Rng(std::uint64_t seed) {
     state_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits → double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   HMD_REQUIRE(lo <= hi, "uniform: lo must not exceed hi");
   return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  HMD_REQUIRE(n > 0, "uniform_index: n must be positive");
-  // Rejection removes modulo bias: a draw below (2^64 - n) mod n is
-  // redrawn. That threshold is always < n, so a draw r >= n is accepted
-  // without computing it; only the rare r < n pays the second division.
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= n || r >= (~n + 1) % n) return r % n;
-  }
+void Rng::throw_zero_index() {
+  detail::throw_precondition("n > 0", __FILE__, __LINE__,
+                             "uniform_index: n must be positive");
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -94,8 +65,6 @@ double Rng::normal(double mean, double stddev) {
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::uint64_t Rng::poisson(double lambda) {
   HMD_REQUIRE(lambda >= 0.0, "poisson: lambda must be non-negative");

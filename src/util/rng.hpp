@@ -4,9 +4,14 @@
 // so that datasets, experiments, and benches are bit-reproducible. The
 // generator is xoshiro256** (Blackman & Vigna), seeded through splitmix64,
 // which has excellent statistical quality and is much faster than mt19937.
+//
+// The draws the trace generator makes per simulated op (`next_u64`,
+// `uniform()`, `bernoulli`, `uniform_index`) are defined inline below, so
+// they compile into their callers instead of crossing a library boundary.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,15 +34,38 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
   result_type operator()() { return next_u64(); }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits → double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n). Requires n > 0.
-  std::uint64_t uniform_index(std::uint64_t n);
+  std::uint64_t uniform_index(std::uint64_t n) {
+    if (n == 0) [[unlikely]]
+      throw_zero_index();
+    // Rejection removes modulo bias: a draw below (2^64 - n) mod n is
+    // redrawn. That threshold is always < n, so a draw r >= n is accepted
+    // without computing it; only the rare r < n pays the second division.
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= n || r >= (~n + 1) % n) return r % n;
+    }
+  }
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Standard normal via Box–Muller (cached spare).
@@ -47,7 +75,7 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
   /// Bernoulli trial with probability p of true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
   /// Poisson-distributed count (Knuth for small lambda, normal approx above).
   std::uint64_t poisson(double lambda);
   /// Exponential with rate lambda.
@@ -69,6 +97,9 @@ class Rng {
   Rng fork();
 
  private:
+  /// Throws PreconditionError for uniform_index(0); kept out of line.
+  [[noreturn, gnu::cold]] static void throw_zero_index();
+
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_ = false;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hmd::hwsim {
 namespace {
@@ -212,6 +216,123 @@ TEST(CachePolicy, AllPoliciesAgreeOnFullyResidentWorkingSets) {
     for (int pass = 0; pass < 3; ++pass)
       for (std::uint64_t a = 0; a < 2048; a += 64) c.access(a, false);
     EXPECT_EQ(c.load_misses(), 32u);  // compulsory only
+  }
+}
+
+TEST(CacheConfig, RejectsSingleByteSingleSetGeometry) {
+  // Every address bit would be tag, so a tag could equal the marker of an
+  // invalid way.
+  CacheConfig c{.name = "b", .size_bytes = 4, .ways = 4, .line_bytes = 1};
+  EXPECT_THROW(c.validate(), PreconditionError);
+  c.size_bytes = 8;  // two sets
+  c.validate();
+}
+
+// Naive write-back, write-allocate true-LRU reference: each set is a list
+// of lines ordered most- to least-recently used.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& config)
+      : ways_(config.ways),
+        line_bytes_(config.line_bytes),
+        sets_(config.num_sets()),
+        lines_(sets_) {}
+
+  CacheAccessResult access(std::uint64_t addr, bool is_store) {
+    ++(is_store ? stores : loads);
+    const CacheAccessResult r = touch(addr, is_store);
+    if (!r.hit) ++(is_store ? store_misses : load_misses);
+    return r;
+  }
+  CacheAccessResult fill(std::uint64_t addr) { return touch(addr, false); }
+  void flush() {
+    for (auto& set : lines_) set.clear();
+  }
+
+  std::uint64_t loads = 0, stores = 0, load_misses = 0, store_misses = 0;
+
+ private:
+  struct Line {
+    std::uint64_t block;
+    bool dirty;
+  };
+
+  CacheAccessResult touch(std::uint64_t addr, bool dirty) {
+    const std::uint64_t block = addr / line_bytes_;
+    std::vector<Line>& set = lines_[block % sets_];
+    const auto it = std::find_if(set.begin(), set.end(), [&](const Line& l) {
+      return l.block == block;
+    });
+    CacheAccessResult r;
+    if (it != set.end()) {
+      r.hit = true;
+      dirty = dirty || it->dirty;
+      set.erase(it);
+    } else if (set.size() == ways_) {
+      r.writeback = set.back().dirty;
+      set.pop_back();
+    }
+    set.insert(set.begin(), {block, dirty});
+    return r;
+  }
+
+  std::size_t ways_;
+  std::uint64_t line_bytes_;
+  std::uint64_t sets_;
+  std::vector<std::vector<Line>> lines_;
+};
+
+TEST(Cache, MatchesNaiveTrueLru) {
+  const CacheConfig configs[] = {
+      miniature_l1d(),  // 8-way, 32 sets
+      haswell_llc(),    // 12-way, 8192 sets
+      {.name = "toy", .size_bytes = 4 * 16 * 64, .ways = 16, .line_bytes = 64},
+  };
+  for (const CacheConfig& config : configs) {
+    Cache cache(config);
+    ReferenceCache ref(config);
+    Rng rng(0xcace + config.ways);
+    const std::uint64_t sets = config.num_sets();
+    // Most traffic goes to four sets, with a per-set hot pool slightly
+    // larger than the associativity, so hits, dirty and clean evictions
+    // and refills of evicted lines are all frequent.
+    const std::uint64_t hot_sets = std::min<std::uint64_t>(sets, 4);
+    const std::uint64_t hot_tags = config.ways + config.ways / 4 + 2;
+    for (int i = 0; i < 40000; ++i) {
+      if (i == 20000) {
+        cache.flush();
+        ref.flush();
+      }
+      const std::uint64_t set = rng.bernoulli(0.9)
+                                    ? rng.uniform_index(hot_sets)
+                                    : rng.uniform_index(sets);
+      const std::uint64_t tag =
+          rng.bernoulli(0.85) ? rng.uniform_index(hot_tags)
+                              : (std::uint64_t{1} << 30) +
+                                    rng.uniform_index(std::uint64_t{1} << 30);
+      const std::uint64_t addr = (tag * sets + set) * config.line_bytes +
+                                 rng.uniform_index(config.line_bytes);
+      const double kind = rng.uniform();
+      CacheAccessResult got, want;
+      if (kind < 0.5) {
+        got = cache.access(addr, false);
+        want = ref.access(addr, false);
+      } else if (kind < 0.8) {
+        got = cache.access(addr, true);
+        want = ref.access(addr, true);
+      } else {
+        got = cache.fill(addr);
+        want = ref.fill(addr);
+      }
+      ASSERT_EQ(got.hit, want.hit) << config.name << " step " << i;
+      ASSERT_EQ(got.writeback, want.writeback) << config.name << " step " << i;
+      ASSERT_EQ(cache.loads(), ref.loads) << config.name << " step " << i;
+      ASSERT_EQ(cache.stores(), ref.stores) << config.name << " step " << i;
+      ASSERT_EQ(cache.load_misses(), ref.load_misses)
+          << config.name << " step " << i;
+      ASSERT_EQ(cache.store_misses(), ref.store_misses)
+          << config.name << " step " << i;
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -244,6 +246,63 @@ TEST(Rng, SplitmixAdvancesState) {
   const auto a = splitmix64(s);
   const auto b = splitmix64(s);
   EXPECT_NE(a, b);
+}
+
+// Golden stream: every dataset, corpus and bench in the repository is a
+// function of these draws, so each distribution's output for a fixed seed
+// is pinned by an FNV-1a hash. A host-speed change to the generator must
+// leave every constant unchanged.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v;
+  return h * 1099511628211ull;
+}
+
+std::uint64_t stream_hash(const std::function<std::uint64_t(Rng&)>& draw) {
+  Rng rng(0x601d);
+  std::uint64_t h = 1469598103934665603ull;
+  for (int i = 0; i < 4096; ++i) h = fnv_mix(h, draw(rng));
+  return h;
+}
+
+TEST(Rng, GoldenStreamPerDistribution) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto index = [](std::uint64_t n) {
+    return [n](Rng& r) { return r.uniform_index(n); };
+  };
+  struct Case {
+    const char* name;
+    std::function<std::uint64_t(Rng&)> draw;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {
+      {"next_u64", [](Rng& r) { return r.next_u64(); }, 0x6d29fe60d8e53ae3},
+      {"uniform", [&](Rng& r) { return bits(r.uniform()); },
+       0x82fc9f801e3d267d},
+      {"uniform(lo, hi)", [&](Rng& r) { return bits(r.uniform(-3.5, 9.25)); },
+       0xdb0504ffd0d9e21d},
+      {"bernoulli", [](Rng& r) { return std::uint64_t{r.bernoulli(0.3)}; },
+       0xb7cc6ae9834bc0a3},
+      {"normal", [&](Rng& r) { return bits(r.normal()); }, 0x200515a205fac6c7},
+      {"shuffle",
+       [](Rng& r) {
+         std::vector<std::uint64_t> v(37);
+         for (std::size_t i = 0; i < v.size(); ++i) v[i] = i;
+         r.shuffle(v);
+         std::uint64_t h = 0;
+         for (std::uint64_t x : v) h = fnv_mix(h, x);
+         return h;
+       },
+       0x34a9993873981839},
+      {"uniform_index(1)", index(1), 0xb43a063055adc383},
+      {"uniform_index(3)", index(3), 0xa1099c11091b8839},
+      {"uniform_index(4097)", index(4097), 0x05b422b5f367e986},
+      // About half of all draws fall below the rejection threshold here.
+      {"uniform_index(2^63 + 1)", index((std::uint64_t{1} << 63) + 1),
+       0x0dd8b0e321002d14},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(stream_hash(c.draw), c.golden)
+        << c.name << ": 0x" << std::hex << stream_hash(c.draw);
 }
 
 // Property sweep: moments hold across seeds.
