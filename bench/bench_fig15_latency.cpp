@@ -8,7 +8,6 @@
 
 #include "bench/bench_common.hpp"
 #include "hw/compile.hpp"
-#include "hw/pareto.hpp"
 #include "ml/registry.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -17,7 +16,7 @@ namespace {
 
 using namespace hmd;
 
-/// The 16-feature MLP the main table's cycles(16) column measures.
+/// The 16-feature MLP of the main table's cycles(16) column.
 hw::CompiledDesign compile_mlp() {
   const auto& [train, test] = bench::binary_split();
   (void)test;
@@ -41,47 +40,16 @@ void print_fig15() {
                    format("%.2f", r.full[i].synthesis.latency_us())});
   }
   table.print(std::cout);
-
-  // Resource-shared variant: the latency cost of sharing multipliers,
-  // scheduled on the same netlist the main table measures.
-  const hw::CompiledDesign mlp = compile_mlp();
-  const hw::Netlist& nl = mlp.netlist();
-  TextTable sharing("MLP latency under multiplier sharing");
-  sharing.set_header({"multipliers", "latency cycles"});
-  for (std::uint32_t muls : {1u, 4u, 16u, 64u})
-    sharing.add_row({std::to_string(muls),
-                     std::to_string(nl.latency_cycles({.multipliers = muls}))});
-  sharing.add_row({"unbounded", std::to_string(nl.latency_cycles())});
-  sharing.print(std::cout);
-
-  // The Pareto-optimal area/latency designs an implementer would pick from.
-  TextTable pareto("MLP area-latency Pareto front (design-space sweep)");
-  pareto.set_header({"area (slices)", "latency (cycles)"});
-  for (const hw::DesignPoint& p :
-       hw::pareto_front(hw::explore_design_space(nl)))
-    pareto.add_row({format("%.0f", p.area_slices),
-                    std::to_string(p.latency_cycles)});
-  pareto.print(std::cout);
 }
 
-void BM_ScheduleUnbounded(benchmark::State& state) {
+void BM_CriticalPath(benchmark::State& state) {
   const hw::CompiledDesign mlp = compile_mlp();
   for (auto _ : state) {
     auto cycles = mlp.netlist().latency_cycles();
     benchmark::DoNotOptimize(cycles);
   }
 }
-BENCHMARK(BM_ScheduleUnbounded)->Unit(benchmark::kMicrosecond);
-
-void BM_ScheduleShared(benchmark::State& state) {
-  const hw::CompiledDesign mlp = compile_mlp();
-  const hw::OperatorAllocation alloc{.multipliers = 8};
-  for (auto _ : state) {
-    auto cycles = mlp.netlist().latency_cycles(alloc);
-    benchmark::DoNotOptimize(cycles);
-  }
-}
-BENCHMARK(BM_ScheduleShared)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CriticalPath)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -12,8 +12,8 @@
 // NetlistSimulator. report() quotes numbers measured from the netlist:
 // latency is Netlist::latency_cycles() (the critical path over the per-net
 // pipeline annotations), area/energy are summed from the instantiated nets.
-// Operator sharing is priced on the same netlist: pass an
-// OperatorAllocation to latency_cycles() / total_resources() (hw/pareto).
+// That is the one price: the fully parallel datapath the backends emit and
+// the simulator executes.
 //
 // Supported schemes (see ml::rtl_schemes()):
 //   exact    — OneR, DecisionStump, J48, JRip, MLR, SVM: simulator class

@@ -1,10 +1,7 @@
 #include "hw/netlist.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <functional>
-#include <queue>
 #include <utility>
 
 #include "util/error.hpp"
@@ -206,40 +203,36 @@ std::size_t Netlist::count_ops(NetOp op) const {
                     [op](const NetNode& n) { return n.op == op; }));
 }
 
-namespace {
-
-/// Instance count an n-ary reduction needs: a balanced tree of n-1 stages.
-std::uint64_t tree_stages(std::size_t fan_in) {
-  return fan_in > 1 ? static_cast<std::uint64_t>(fan_in - 1) : 0;
-}
-
-}  // namespace
-
-ResourceCost Netlist::node_cost(NetId id) const {
+Netlist::Pricing Netlist::pricing(NetId id) const {
   const NetNode& n = node(id);
+  // An n-ary reduction is a balanced tree: n-1 stages, ceil(log2 n) deep.
+  const auto tree = [&n](HwOp op) {
+    return Pricing{op, n.args.size() - 1, ceil_log2(n.args.size())};
+  };
   switch (n.op) {
     case NetOp::kInput:
     case NetOp::kConst:
       return {};
     case NetOp::kCmpLe:
     case NetOp::kCmpGt:
-      return hw_op_cost(HwOp::kCompare);
+      return {HwOp::kCompare, 1, 1};
     case NetOp::kMux:
-      return hw_op_cost(HwOp::kMux2);
+      return {HwOp::kMux2, 1, 1};
     case NetOp::kAdd:
-      return hw_op_cost(HwOp::kAdd);
+      return {HwOp::kAdd, 1, 1};
     case NetOp::kMul:
-      return hw_op_cost(HwOp::kMul);
+      return {HwOp::kMul, 1, 1};
     case NetOp::kAndReduce:
-      return hw_op_cost(HwOp::kAnd).scaled(tree_stages(n.args.size()));
+      return tree(HwOp::kAnd);
     case NetOp::kArgmax:
-      return hw_op_cost(HwOp::kArgmaxStage).scaled(tree_stages(n.args.size()));
+      return tree(HwOp::kArgmaxStage);
     case NetOp::kLutRom:
-      return hw_op_cost(luts_[n.index].kind == LutRom::Kind::kSigmoid
-                            ? HwOp::kSigmoidLut
-                            : HwOp::kGaussianLut);
+      return {luts_[n.index].kind == LutRom::Kind::kSigmoid
+                  ? HwOp::kSigmoidLut
+                  : HwOp::kGaussianLut,
+              1, 1};
     case NetOp::kOutput:
-      return hw_op_cost(HwOp::kRegister);
+      return {HwOp::kRegister, 1, 1};
     case NetOp::kCount:
       break;
   }
@@ -247,156 +240,39 @@ ResourceCost Netlist::node_cost(NetId id) const {
   return {};
 }
 
+ResourceCost Netlist::node_cost(NetId id) const {
+  const Pricing p = pricing(id);
+  return hw_op_cost(p.op).scaled(p.instances);
+}
+
 std::uint32_t Netlist::node_latency(NetId id) const {
-  const NetNode& n = node(id);
-  switch (n.op) {
-    case NetOp::kInput:
-    case NetOp::kConst:
-      return 0;
-    case NetOp::kCmpLe:
-    case NetOp::kCmpGt:
-      return hw_op_latency(HwOp::kCompare);
-    case NetOp::kMux:
-      return hw_op_latency(HwOp::kMux2);
-    case NetOp::kAdd:
-      return hw_op_latency(HwOp::kAdd);
-    case NetOp::kMul:
-      return hw_op_latency(HwOp::kMul);
-    case NetOp::kAndReduce:
-      return ceil_log2(n.args.size()) * hw_op_latency(HwOp::kAnd);
-    case NetOp::kArgmax:
-      return ceil_log2(n.args.size()) * hw_op_latency(HwOp::kArgmaxStage);
-    case NetOp::kLutRom:
-      return hw_op_latency(luts_[n.index].kind == LutRom::Kind::kSigmoid
-                               ? HwOp::kSigmoidLut
-                               : HwOp::kGaussianLut);
-    case NetOp::kOutput:
-      return hw_op_latency(HwOp::kRegister);
-    case NetOp::kCount:
-      break;
-  }
-  HMD_REQUIRE(false, "Netlist: invalid op");
-  return 0;
+  const Pricing p = pricing(id);
+  return p.depth * hw_op_latency(p.op);
 }
 
 double Netlist::node_energy_pj(NetId id) const {
-  const NetNode& n = node(id);
-  switch (n.op) {
-    case NetOp::kInput:
-    case NetOp::kConst:
-      return 0.0;
-    case NetOp::kCmpLe:
-    case NetOp::kCmpGt:
-      return hw_op_energy_pj(HwOp::kCompare);
-    case NetOp::kMux:
-      return hw_op_energy_pj(HwOp::kMux2);
-    case NetOp::kAdd:
-      return hw_op_energy_pj(HwOp::kAdd);
-    case NetOp::kMul:
-      return hw_op_energy_pj(HwOp::kMul);
-    case NetOp::kAndReduce:
-      return hw_op_energy_pj(HwOp::kAnd) *
-             static_cast<double>(tree_stages(n.args.size()));
-    case NetOp::kArgmax:
-      return hw_op_energy_pj(HwOp::kArgmaxStage) *
-             static_cast<double>(tree_stages(n.args.size()));
-    case NetOp::kLutRom:
-      return hw_op_energy_pj(luts_[n.index].kind == LutRom::Kind::kSigmoid
-                                 ? HwOp::kSigmoidLut
-                                 : HwOp::kGaussianLut);
-    case NetOp::kOutput:
-      return hw_op_energy_pj(HwOp::kRegister);
-    case NetOp::kCount:
-      break;
-  }
-  HMD_REQUIRE(false, "Netlist: invalid op");
-  return 0.0;
+  const Pricing p = pricing(id);
+  return hw_op_energy_pj(p.op) * static_cast<double>(p.instances);
 }
 
-namespace {
-
-/// Shared operator pools, indexed like pool_sizes().
-enum Pool : std::size_t { kMulPool, kAddPool, kCmpPool, kNumPools, kUnshared };
-
-Pool pool_of(NetOp op) {
-  switch (op) {
-    case NetOp::kMul: return kMulPool;
-    case NetOp::kAdd: return kAddPool;
-    case NetOp::kCmpLe:
-    case NetOp::kCmpGt: return kCmpPool;
-    default: return kUnshared;
-  }
-}
-
-std::array<std::optional<std::uint32_t>, kNumPools> pool_sizes(
-    const OperatorAllocation& alloc) {
-  const std::array<std::optional<std::uint32_t>, kNumPools> sizes = {
-      alloc.multipliers, alloc.adders, alloc.comparators};
-  for (const auto& size : sizes)
-    HMD_REQUIRE(!size.has_value() || *size > 0,
-                "OperatorAllocation: a pool needs at least one instance");
-  return sizes;
-}
-
-}  // namespace
-
-ResourceCost Netlist::total_resources(const OperatorAllocation& alloc) const {
-  const auto sizes = pool_sizes(alloc);
-  // Every net of a pool costs the same, so a bounded pool is priced as its
-  // first `size` nets.
-  std::array<std::size_t, kNumPools> instantiated{};
+ResourceCost Netlist::total_resources() const {
   ResourceCost total;
-  for (NetId id = 0; id < nodes_.size(); ++id) {
-    const Pool p = pool_of(nodes_[id].op);
-    if (p != kUnshared && sizes[p].has_value() &&
-        instantiated[p]++ >= *sizes[p])
-      continue;
-    total += node_cost(id);
-  }
+  for (NetId id = 0; id < nodes_.size(); ++id) total += node_cost(id);
   return total;
 }
 
-std::uint32_t Netlist::latency_cycles(const OperatorAllocation& alloc) const {
-  const auto sizes = pool_sizes(alloc);
-  const std::size_t n = nodes_.size();
-  std::vector<std::size_t> pending(n);
-  std::vector<std::vector<NetId>> consumers(n);
-  for (NetId id = 0; id < n; ++id) {
-    pending[id] = nodes_[id].args.size();
-    for (NetId a : nodes_[id].args) consumers[a].push_back(id);
+std::uint32_t Netlist::latency_cycles() const {
+  // Builder order is topological (operands exist before use), so one
+  // forward pass sees every operand's completion cycle before its consumer.
+  std::vector<std::uint32_t> done(nodes_.size(), 0);
+  std::uint32_t longest = 0;
+  for (NetId id = 0; id < nodes_.size(); ++id) {
+    std::uint32_t start = 0;
+    for (NetId a : nodes_[id].args) start = std::max(start, done[a]);
+    done[id] = start + node_latency(id);
+    longest = std::max(longest, done[id]);
   }
-
-  // Min-heap of (operand-ready cycle, net).
-  using Item = std::pair<std::uint32_t, NetId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> ready;
-  for (NetId id = 0; id < n; ++id)
-    if (pending[id] == 0) ready.emplace(0, id);
-  std::vector<std::uint32_t> ready_at(n, 0);
-  // Per pool, the cycle each instantiated operator frees up.
-  std::array<std::vector<std::uint32_t>, kNumPools> free_at;
-
-  std::uint32_t makespan = 0;
-  while (!ready.empty()) {
-    const auto [cycle, id] = ready.top();
-    ready.pop();
-    const std::uint32_t latency = node_latency(id);
-    std::uint32_t start = cycle;
-    const Pool p = pool_of(nodes_[id].op);
-    if (p != kUnshared && sizes[p].has_value()) {
-      std::vector<std::uint32_t>& pool = free_at[p];
-      if (pool.size() < *sizes[p]) pool.push_back(0);
-      const auto first_free = std::min_element(pool.begin(), pool.end());
-      start = std::max(start, *first_free);
-      *first_free = start + latency;
-    }
-    const std::uint32_t done = start + latency;
-    makespan = std::max(makespan, done);
-    for (NetId c : consumers[id]) {
-      ready_at[c] = std::max(ready_at[c], done);
-      if (--pending[c] == 0) ready.emplace(ready_at[c], c);
-    }
-  }
-  return makespan;
+  return longest;
 }
 
 double Netlist::total_energy_pj() const {

@@ -11,10 +11,10 @@
 //   NetlistSimulator              (hw/netlist_sim.hpp)
 //       executes the nets in topological order over int64 raws;
 //   Netlist::latency_cycles() / total_resources()
-//       price the nets with the hw/resource.hpp operator library, fully
-//       parallel or under an OperatorAllocation (operator sharing);
-//   CompiledDesign::report(), hw/pareto
-//       quote those two numbers.
+//       price the nets with the hw/resource.hpp operator library: one
+//       operator per net, the fully parallel datapath the backends emit;
+//   CompiledDesign::report()
+//       quotes those two numbers.
 //
 // The Q16.16 input-grid helpers at the top of this header are the single
 // source of truth for how raw feature values quantize onto the hardware
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -121,19 +120,6 @@ struct LutRom {
   std::vector<std::int64_t> values;  ///< Q48.16 raw outputs, power-of-two size
 };
 
-/// Operator sharing: how many physical instances each shared pool has.
-/// An empty entry means one instance per net (the fully parallel datapath).
-///   multipliers  kMul nets
-///   adders       kAdd nets
-///   comparators  kCmpLe and kCmpGt nets
-/// kArgmax and kAndReduce are never shared: each stays one n-ary tree.
-/// Every other op is instantiated once per net.
-struct OperatorAllocation {
-  std::optional<std::uint32_t> multipliers = std::nullopt;
-  std::optional<std::uint32_t> adders = std::nullopt;
-  std::optional<std::uint32_t> comparators = std::nullopt;
-};
-
 /// The DAG. Built by hw::compile()'s scheme lowerings; immutable afterwards.
 /// Builder methods validate operand existence and types, so a Netlist that
 /// constructed successfully is well-formed by construction.
@@ -182,18 +168,23 @@ class Netlist {
   std::uint32_t node_latency(NetId id) const;
   /// Per-net dynamic energy (pJ) for one window.
   double node_energy_pj(NetId id) const;
-  /// Area of the datapath. A bounded pool instantiates min(nets, pool)
-  /// operators; everything else is summed per net. Throws on a zero pool.
-  ResourceCost total_resources(const OperatorAllocation& alloc = {}) const;
-  /// Cycles from inputs to the registered output under a list schedule:
-  /// nets start in order of operand-ready cycle (ties by net id), and a
-  /// pooled net waits for the pool instance that frees first, which runs
-  /// one operation at a time. With no pools this is the critical path.
-  /// Throws on a zero pool.
-  std::uint32_t latency_cycles(const OperatorAllocation& alloc = {}) const;
+  /// Area of the fully parallel datapath: node_cost() summed over the nets.
+  ResourceCost total_resources() const;
+  /// Cycles from inputs to the registered output: the critical path, each
+  /// net completing node_latency() cycles after its slowest operand.
+  std::uint32_t latency_cycles() const;
   double total_energy_pj() const;
 
  private:
+  /// What one net instantiates: `instances` copies of `op`, `depth` of them
+  /// on its longest path. The default (inputs, constants) is free.
+  struct Pricing {
+    HwOp op = HwOp::kRegister;
+    std::uint64_t instances = 0;
+    std::uint32_t depth = 0;
+  };
+  Pricing pricing(NetId id) const;
+
   NetId push(NetNode node);
   const NetNode& operand(NetId id) const;
   void require_arith(NetId id) const;

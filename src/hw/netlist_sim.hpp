@@ -2,8 +2,8 @@
 // topological order (builder order IS topological order — operands must
 // exist before use) over int64 Q16.16 raws, exactly as the emitted RTL
 // datapath computes them. That datapath is fully parallel, so
-// cycles_per_window() is the netlist's unshared latency_cycles() — the
-// latency CompiledDesign::report() quotes.
+// cycles_per_window() is the netlist's latency_cycles() — the latency
+// CompiledDesign::report() quotes.
 //
 // run() quantizes float features onto the design's input grid first (the
 // shared helpers in hw/netlist.hpp), which is what makes simulator class

@@ -132,15 +132,15 @@ struct TreeBuilder {
   std::size_t num_classes;
   std::size_t num_features;
   std::size_t n;
-  std::span<const double> cols;             ///< column-major, cols[f*n + r]
-  std::vector<std::uint32_t> classes;       ///< per row id
-  std::vector<std::vector<std::uint32_t>> order;  ///< per feature: row ids
-  std::vector<std::vector<double>> vals;    ///< per feature: value at pos
-  std::vector<std::vector<std::uint16_t>> cls;  ///< per feature: class at pos
-  std::vector<std::uint8_t> goes_left;      ///< per row id, current split
-  std::vector<std::uint32_t> tmp_id;        ///< partition scratch
-  std::vector<double> tmp_val;
-  std::vector<std::uint16_t> tmp_cls;
+  std::span<const double> cols{};           ///< column-major, cols[f*n + r]
+  std::vector<std::uint32_t> classes{};     ///< per row id
+  std::vector<std::vector<std::uint32_t>> order{};  ///< per feature: row ids
+  std::vector<std::vector<double>> vals{};  ///< per feature: value at pos
+  std::vector<std::vector<std::uint16_t>> cls{};  ///< per feature: class at pos
+  std::vector<std::uint8_t> goes_left{};    ///< per row id, current split
+  std::vector<std::uint32_t> tmp_id{};      ///< partition scratch
+  std::vector<double> tmp_val{};
+  std::vector<std::uint16_t> tmp_cls{};
   // Memo of the entropy term p*log2(p) with p = c/side_total, keyed by the
   // integer count c. The stamp marks which boundary (epoch) the cached
   // value belongs to; side totals are shared by all features at one
@@ -151,9 +151,9 @@ struct TreeBuilder {
     double term;
     std::uint32_t stamp;
   };
-  std::vector<EntropyTerm> memo_l, memo_r;
+  std::vector<EntropyTerm> memo_l{}, memo_r{};
   std::uint32_t epoch = 0;
-  std::vector<std::uint32_t> left_counts;   ///< flat [feature][class]
+  std::vector<std::uint32_t> left_counts{};  ///< flat [feature][class]
 
   const double* column(std::size_t f) const { return cols.data() + f * n; }
 

@@ -301,6 +301,15 @@ __attribute__((target("avx2"))) void mask_avx2(
   }
 }
 
+// GCC 12's avx512fintrin.h seeds _mm512_max_pd and _mm512_reduce_add_pd
+// with _mm512_undefined_pd(), which -Wuninitialized flags in every caller
+// (GCC bug 105593, fixed in 13). The reduction order is pinned, so the
+// warning is silenced here rather than worked around.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 __attribute__((target("avx512f"))) double bound_avx512(
     const double* __restrict lo, const double* __restrict hi,
     const double* __restrict x, std::size_t d) {
@@ -324,6 +333,9 @@ __attribute__((target("avx512f"))) double bound_avx512(
   }
   return s;
 }
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic pop
+#endif
 
 __attribute__((target("avx2"))) double bound_avx2(
     const double* __restrict lo, const double* __restrict hi,

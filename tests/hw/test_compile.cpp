@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/fixed_point_eval.hpp"
@@ -212,6 +214,62 @@ TEST(Compile, DatasetPinnedGridMatchesCalibration) {
     EXPECT_DOUBLE_EQ(design.feature_scales()[f], q16_input_scale(absmax[f]));
 }
 
+/// The priced cost of one compiled design.
+struct GoldenCost {
+  std::uint64_t luts, ffs, dsps, brams;
+  std::uint32_t latency_cycles;
+  double energy_pj;
+  bool operator==(const GoldenCost&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenCost& c) {
+  return os << "{" << c.luts << ", " << c.ffs << ", " << c.dsps << ", "
+            << c.brams << ", " << c.latency_cycles << ", "
+            << std::setprecision(17) << c.energy_pj << "}";
+}
+
+TEST(Compile, GoldenCostPerScheme) {
+  // Pins every area, cycle and pJ figure of the fixed fixtures, so a change
+  // to the pricing code cannot drift them unnoticed. Keyed by scheme and
+  // class count.
+  const std::map<std::pair<std::string, std::size_t>, GoldenCost> expected = {
+      {{"OneR", 2}, {32, 41, 0, 0, 3, 1.5}},
+      {{"DecisionStump", 2}, {32, 41, 0, 0, 3, 1.5}},
+      {{"J48", 2}, {32, 41, 0, 0, 3, 1.5}},
+      {{"JRip", 2}, {84, 52, 0, 0, 4, 3.5999999999999996}},
+      {{"NaiveBayes", 2}, {484, 577, 0, 8, 7, 31.099999999999994}},
+      {{"MLR", 2}, {612, 833, 24, 0, 8, 63.100000000000009}},
+      {{"SVM", 2}, {612, 833, 24, 0, 8, 63.100000000000009}},
+      {{"MLP", 2}, {1404, 1889, 54, 3, 15, 147.59999999999999}},
+      {{"OneR", 3}, {64, 50, 0, 0, 4, 2.6000000000000001}},
+      {{"DecisionStump", 3}, {32, 41, 0, 0, 3, 1.5}},
+      {{"J48", 3}, {128, 68, 0, 0, 5, 4.7999999999999998}},
+      {{"JRip", 3}, {136, 63, 0, 0, 6, 5.7000000000000002}},
+      {{"NaiveBayes", 3}, {912, 1058, 0, 15, 8, 58.100000000000023}},
+      {{"MLR", 3}, {1152, 1538, 45, 0, 9, 118.10000000000005}},
+      {{"SVM", 3}, {1152, 1538, 45, 0, 9, 118.10000000000005}},
+      {{"MLP", 3}, {2472, 3298, 96, 4, 17, 258.99999999999983}},
+  };
+  const ml::Dataset fixtures[] = {ml::testdata::separable_binary(80),
+                                  ml::testdata::three_class(60)};
+  for (const ml::Dataset& data : fixtures) {
+    for (const std::string& scheme : ml::rtl_schemes()) {
+      auto clf = ml::make_classifier(scheme);
+      clf->train(data);
+      const Netlist nl =
+          compile(*clf, {.num_features = data.num_features()}).netlist();
+      const ResourceCost r = nl.total_resources();
+      const GoldenCost got{r.luts, r.ffs, r.dsps, r.brams,
+                           nl.latency_cycles(), nl.total_energy_pj()};
+      const auto key = std::make_pair(scheme, data.num_classes());
+      ASSERT_TRUE(expected.count(key))
+          << "unpinned " << scheme << "/" << data.num_classes() << ": " << got;
+      EXPECT_EQ(got, expected.at(key))
+          << scheme << "/" << data.num_classes() << ": re-pin with " << got;
+    }
+  }
+}
+
 /// Longest chain of nets, each registered node_latency() cycles after its
 /// slowest operand — the fully parallel latency, computed without
 /// Netlist::latency_cycles().
@@ -227,7 +285,7 @@ std::uint32_t naive_critical_path(const Netlist& nl) {
   return longest;
 }
 
-TEST(Compile, OneSchedulePricesEverySchemeWithAndWithoutSharing) {
+TEST(Compile, LatencyIsTheCriticalPathForEveryScheme) {
   const ml::Dataset fixtures[] = {ml::testdata::separable_binary(80),
                                   ml::testdata::three_class(60)};
   for (const ml::Dataset& data : fixtures) {
@@ -238,46 +296,10 @@ TEST(Compile, OneSchedulePricesEverySchemeWithAndWithoutSharing) {
       clf->train(data);
       const CompiledDesign design =
           compile(*clf, {.num_features = data.num_features()});
-      const Netlist& nl = design.netlist();
-      const std::uint32_t parallel = nl.latency_cycles();
-      EXPECT_EQ(parallel, naive_critical_path(nl));
-      EXPECT_EQ(parallel, design.report().latency_cycles);
-      EXPECT_EQ(parallel, NetlistSimulator(design).cycles_per_window());
-
-      // Growing a pool, one instance at a time up to one per net, never
-      // raises latency or lowers area, and ends at the parallel design.
-      const std::size_t demand = std::max(
-          {nl.count_ops(NetOp::kMul), nl.count_ops(NetOp::kAdd),
-           nl.count_ops(NetOp::kCmpLe) + nl.count_ops(NetOp::kCmpGt),
-           std::size_t{1}});
-      using Pool = std::optional<std::uint32_t> OperatorAllocation::*;
-      const std::vector<std::vector<Pool>> sweeps = {
-          {&OperatorAllocation::multipliers},
-          {&OperatorAllocation::adders},
-          {&OperatorAllocation::comparators},
-          {&OperatorAllocation::multipliers, &OperatorAllocation::adders,
-           &OperatorAllocation::comparators}};
-      for (const std::vector<Pool>& sweep : sweeps) {
-        const auto pools = [&sweep](std::uint32_t n) {
-          OperatorAllocation alloc;
-          for (Pool pool : sweep) alloc.*pool = n;
-          return alloc;
-        };
-        std::uint32_t prev_latency = std::numeric_limits<std::uint32_t>::max();
-        double prev_area = 0.0;
-        for (std::uint32_t n = 1; n <= demand; ++n) {
-          const std::uint32_t latency = nl.latency_cycles(pools(n));
-          const double area = nl.total_resources(pools(n)).equivalent_slices();
-          EXPECT_LE(latency, prev_latency) << "pool " << n;
-          EXPECT_GE(area, prev_area) << "pool " << n;
-          prev_latency = latency;
-          prev_area = area;
-        }
-        EXPECT_EQ(prev_latency, parallel);
-        EXPECT_DOUBLE_EQ(prev_area, nl.total_resources().equivalent_slices());
-        EXPECT_THROW((void)nl.latency_cycles(pools(0)), PreconditionError);
-        EXPECT_THROW((void)nl.total_resources(pools(0)), PreconditionError);
-      }
+      const std::uint32_t latency = design.netlist().latency_cycles();
+      EXPECT_EQ(latency, naive_critical_path(design.netlist()));
+      EXPECT_EQ(latency, design.report().latency_cycles);
+      EXPECT_EQ(latency, NetlistSimulator(design).cycles_per_window());
     }
   }
 }
@@ -409,7 +431,7 @@ TEST(Lowering, UnsupportedClassifierThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// SynthesisReport and operator sharing on compiled designs.
+// SynthesisReport on compiled designs.
 
 TEST(Synthesis, ReportFieldsConsistent) {
   const auto d = ml::testdata::separable_binary();
@@ -424,16 +446,6 @@ TEST(Synthesis, ReportFieldsConsistent) {
   EXPECT_NEAR(r.latency_us(),
               static_cast<double>(r.latency_cycles) / r.clock_mhz, 1e-12);
   EXPECT_NE(r.to_string().find("MLR"), std::string::npos);
-}
-
-TEST(Synthesis, ResourceSharingTradesLatencyForArea) {
-  const auto d = ml::testdata::separable_binary();
-  ml::Mlp mlp({.hidden_units = 8, .epochs = 3});
-  mlp.train(d);
-  const Netlist nl = lower(mlp, d.num_features());
-  const OperatorAllocation shared{.multipliers = 2};
-  EXPECT_LT(nl.total_resources(shared).dsps, nl.total_resources().dsps);
-  EXPECT_GT(nl.latency_cycles(shared), nl.latency_cycles());
 }
 
 TEST(Synthesis, FasterClockShortensLatency) {

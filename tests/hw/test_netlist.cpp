@@ -192,8 +192,8 @@ TEST(NetlistCost, TotalsSumTheInstantiatedNets) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling: latency_cycles() and total_resources(), fully parallel and
-// under an OperatorAllocation.
+// Dataflow: latency_cycles() and total_resources() of the fully parallel
+// datapath.
 
 NetId weight(Netlist& nl) { return nl.constant(NetType::kWide, q16_raw(0.5)); }
 
@@ -257,40 +257,10 @@ TEST(Dataflow, UnknownDependencyThrows) {
   EXPECT_THROW((void)nl.add(x, static_cast<NetId>(42)), PreconditionError);
 }
 
-TEST(Dataflow, ConstrainedScheduleNoWorseThanSerial) {
-  const Netlist nl = parallel_muls(8);
-  // One multiplier runs the 8 products back to back.
-  EXPECT_EQ(nl.latency_cycles({.multipliers = 1}),
-            8 * hw_op_latency(HwOp::kMul));
-  EXPECT_GT(nl.latency_cycles({.multipliers = 1}), nl.latency_cycles());
-  // The pool caps the instantiated multipliers; other pools are untouched.
-  EXPECT_EQ(nl.total_resources({.multipliers = 1}).dsps,
-            hw_op_cost(HwOp::kMul).dsps);
-  EXPECT_EQ(nl.total_resources({.adders = 1}).dsps,
-            nl.total_resources().dsps);
-}
-
-TEST(Dataflow, MoreOperatorsReduceLatency) {
-  const Netlist nl = parallel_muls(12);
-  const std::uint32_t one = nl.latency_cycles({.multipliers = 1});
-  const std::uint32_t four = nl.latency_cycles({.multipliers = 4});
-  const std::uint32_t twelve = nl.latency_cycles({.multipliers = 12});
-  EXPECT_GT(one, four);
-  EXPECT_GE(four, twelve);
-  EXPECT_EQ(twelve, nl.latency_cycles());
-}
-
-TEST(Dataflow, ConstrainedRespectsDependencies) {
-  Netlist nl = tiny();
-  const NetId m1 = nl.mul(nl.input(0), weight(nl), 16);
-  (void)nl.mul(m1, weight(nl), 16);
-  // A free second multiplier cannot start the dependent product early.
-  EXPECT_EQ(nl.latency_cycles({.multipliers = 2}),
-            2 * hw_op_latency(HwOp::kMul));
-}
-
 TEST(Dataflow, UnlimitedPoolsMatchAsap) {
-  // Pools at least as large as their demand reproduce the critical path.
+  // One operator per net is the as-soon-as-possible schedule: the product
+  // feeds the adder directly and through the ROM, and the adder waits for
+  // the ROM arm.
   Netlist nl = tiny();
   LutRom rom;
   rom.values.assign(4, 0);
@@ -298,42 +268,7 @@ TEST(Dataflow, UnlimitedPoolsMatchAsap) {
   const NetId m = nl.mul(nl.input(0), weight(nl), 16);
   const NetId s = nl.lut_rom(table, m);
   (void)nl.cmp_gt(nl.add(s, m), m);
-  EXPECT_EQ(nl.latency_cycles({.multipliers = 1, .adders = 1,
-                               .comparators = 1}),
-            nl.latency_cycles());
   EXPECT_EQ(nl.latency_cycles(), 3u + 2u + 1u + 1u);
-}
-
-TEST(Dataflow, ZeroAllocationThrows) {
-  const Netlist nl = parallel_muls(1);
-  for (const OperatorAllocation& zero :
-       {OperatorAllocation{.multipliers = 0}, OperatorAllocation{.adders = 0},
-        OperatorAllocation{.comparators = 0}}) {
-    EXPECT_THROW((void)nl.latency_cycles(zero), PreconditionError);
-    EXPECT_THROW((void)nl.total_resources(zero), PreconditionError);
-  }
-}
-
-TEST(Dataflow, ArgmaxAndAndTreesAreNeverShared) {
-  // Comparator pools cover kCmpLe/kCmpGt only: the argmax and AND trees
-  // keep their n-1 stages and log-depth latency under any allocation.
-  Netlist nl(1, 4);
-  const NetId x = nl.input(0);
-  std::vector<NetId> bits;
-  for (int i = 0; i < 4; ++i) bits.push_back(nl.cmp_gt(x, weight(nl)));
-  const NetId all = nl.and_reduce(bits);
-  std::vector<NetId> scores;
-  for (int c = 0; c < 4; ++c) scores.push_back(nl.constant(NetType::kWide, c));
-  const NetId amax = nl.argmax(scores);
-  nl.set_output(nl.mux(all, amax, nl.class_constant(0)));
-
-  const OperatorAllocation one_cmp{.comparators = 1};
-  const ResourceCost parallel = nl.total_resources();
-  const ResourceCost shared = nl.total_resources(one_cmp);
-  EXPECT_EQ(parallel.luts - shared.luts, 3 * hw_op_cost(HwOp::kCompare).luts);
-  // Four compares serialize on one comparator; the trees follow as before.
-  EXPECT_EQ(nl.latency_cycles(one_cmp),
-            nl.latency_cycles() + 3 * hw_op_latency(HwOp::kCompare));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "util/error.hpp"
@@ -144,6 +145,13 @@ struct Geometry {
   std::uint64_t size;
   std::uint32_t ways;
 };
+
+// gtest_discover_tests names each case after its printed parameter; without
+// this the default printer dumps the struct's bytes, padding included, so
+// the names would change from build to build.
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << g.size << "B_" << g.ways << "way";
+}
 
 class CacheGeometrySweep : public ::testing::TestWithParam<Geometry> {};
 
