@@ -7,7 +7,9 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
+#include "ml/mlp.hpp"
 #include "ml/registry.hpp"
+#include "tests/ml/synthetic_data.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
@@ -86,6 +88,24 @@ void BM_TrainOneR(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainOneR)->Unit(benchmark::kMillisecond);
+
+/// Mlp::train on a fixed seeded binary set of the study's shape (7,736
+/// rows, state.range(0) features, default 300 epochs): times the SGD
+/// epoch kernel alone, without collecting the study's dataset.
+void BM_TrainMlp(benchmark::State& state) {
+  const auto d = static_cast<std::size_t>(state.range(0));
+  const ml::Dataset data = ml::testdata::blobs(2, d, 3868, 0.7, 1.5, 17);
+  for (auto _ : state) {
+    ml::Mlp mlp;
+    mlp.train(data);
+    benchmark::DoNotOptimize(mlp.w2().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.num_instances()) *
+                          300);
+}
+BENCHMARK(BM_TrainMlp)->Arg(16)->Arg(8)->Arg(4)->Unit(
+    benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_PredictThroughput, OneR, std::string("OneR"));
 BENCHMARK_CAPTURE(BM_PredictThroughput, J48, std::string("J48"));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -14,7 +15,10 @@
 // src/ml/CMakeLists.txt): the AVX-512 clones of the float GEMM would
 // otherwise fuse `acc += x*w` into an FMA and skip the intermediate
 // rounding the scalar body performs, breaking the clone-for-clone
-// bit-exactness the dispatch-parity tests pin.
+// bit-exactness the dispatch-parity tests pin; a build that enables FMA
+// for the whole file (-march=native) would do the same to the MLP epoch's
+// `m*v - g*x`. It needs GCC or Clang: the bodies use GNU vector
+// extensions.
 
 namespace hmd::ml::kernels {
 
@@ -85,13 +89,9 @@ inline double bound_body(const double* __restrict lo,
 //
 // Fallback shape for wide outputs: rows are blocked so a block's input
 // rows stay in L1 while the packed weights stream once per feature.
-#if defined(__GNUC__)
-__attribute__((always_inline))
-#endif
-inline void
-affine_body_wide(const double* __restrict a, std::size_t rows, std::size_t d,
-                 const double* __restrict packed, std::size_t k,
-                 double* __restrict out) {
+__attribute__((always_inline)) inline void affine_body_wide(
+    const double* __restrict a, std::size_t rows, std::size_t d,
+    const double* __restrict packed, std::size_t k, double* __restrict out) {
   constexpr std::size_t kRowBlock = 32;
   const double* bias = packed + d * k;
   for (std::size_t r0 = 0; r0 < rows; r0 += kRowBlock) {
@@ -111,17 +111,19 @@ affine_body_wide(const double* __restrict a, std::size_t rows, std::size_t d,
   }
 }
 
-// Main shape for the library's small class/hidden counts (k <= 16): tiles
-// of 8 rows run in one generic 8-lane vector (GCC vector extension — the
-// AVX-512 clone maps it to one zmm, AVX2 to two ymm, the scalar reference
-// to plain doubles), so the math vectorizes across ROWS with full lanes
-// regardless of k — unlike the wide shape whose innermost k-loop leaves
-// most of a vector idle at k = 6. Every lane owns one (row, output)
-// reduction accumulated bias-first then features ascending: per-lane
-// independence keeps every variant bit-identical to the scalar order.
-#if defined(__GNUC__)
+// Generic vectors (GCC vector extensions). Every kernel below keeps each
+// lane's operations in the scalar order, so the width changes speed only.
 typedef double hmd_v8df __attribute__((vector_size(64), aligned(8)));
+typedef double hmd_v4df __attribute__((vector_size(32), aligned(8)));
+typedef double hmd_v2df __attribute__((vector_size(16), aligned(8)));
 
+// Main shape for the library's small class/hidden counts (k <= 16): tiles
+// of 8 rows run in one hmd_v8df, so the math vectorizes across ROWS with
+// full lanes regardless of k — unlike the wide shape whose innermost
+// k-loop leaves most of a vector idle at k = 6. Every lane owns one (row,
+// output) reduction accumulated bias-first then features ascending:
+// per-lane independence keeps every variant bit-identical to the scalar
+// order.
 __attribute__((always_inline)) inline void affine_body(
     const double* __restrict a, std::size_t rows, std::size_t d,
     const double* __restrict packed, std::size_t k, double* __restrict out) {
@@ -158,12 +160,191 @@ __attribute__((always_inline)) inline void affine_body(
     }
   }
 }
-#else
-inline void affine_body(const double* a, std::size_t rows, std::size_t d,
-                        const double* packed, std::size_t k, double* out) {
-  affine_body_wide(a, rows, d, packed, k, out);
+
+// MLP epoch (kernels.hpp, mlp_sgd_epoch) over V, a vector of W doubles
+// with one hidden unit per lane: ymm in the AVX2 clone, xmm in the scalar
+// one, since a vector wider than the ISA's registers is split through the
+// stack. An 8-lane zmm body was slower than the ymm one on an AVX-512
+// Xeon: at h = 3 or 5 it pads 3-5 dead lanes per tile. -Wpsabi warns,
+// at each use, that a vector passed by value has no fixed ABI without the
+// matching ISA; everything here is always inlined into its clone, so no
+// call crosses an ABI boundary.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// MlpWeights pads the hidden units to whole tiles of this many lanes.
+constexpr std::size_t kMlpLanes = 4;
+
+constexpr std::size_t mlp_padded_units(std::size_t h) {
+  return (h + kMlpLanes - 1) / kMlpLanes * kMlpLanes;
 }
-#endif
+
+template <class V>
+__attribute__((always_inline)) inline V loadv(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <class V>
+__attribute__((always_inline)) inline void storev(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// z = bias + Σ_f ascending w1[f]*x[f] over T tiles of W units. The T
+// accumulators stay in registers across the feature loop, so each lane's
+// chain is bias, +w[0]*x[0], +w[1]*x[1], ... — the per-unit dot's order.
+template <class V, std::size_t T>
+__attribute__((always_inline)) inline void mlp_forward(
+    const double* __restrict w1, std::size_t stride, std::size_t d,
+    const double* __restrict x, double* __restrict z) {
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
+  V acc[T];
+  for (std::size_t t = 0; t < T; ++t)
+    acc[t] = loadv<V>(w1 + d * stride + W * t);
+  for (std::size_t f = 0; f < d; ++f)
+    for (std::size_t t = 0; t < T; ++t)
+      acc[t] += loadv<V>(w1 + f * stride + W * t) * x[f];
+  for (std::size_t t = 0; t < T; ++t) storev(z + W * t, acc[t]);
+}
+
+// One row's backward and momentum steps over T tiles of W hidden units,
+// fused with the next row's forward over the same tiles when kForward.
+// Per lane j, in the per-unit loop's order:
+//   dh = 0 + err[0]*w2[0][j] + err[1]*w2[1][j] + ...   (pre-update w2)
+//   per class: v2[c][j] = m*v2[c][j] - (lr*err[c])*hid[j]; w2 += v2
+//   g  = lr * ((dh*hid[j]) * (1 - hid[j]))
+//   per w1 row f, bias row first: v1 = m*v1 - g*x[f]; w1 += v1
+// With kForward each fresh w1 row is accumulated into z at once, bias row
+// first, so each lane's chain keeps the per-unit dot's order while the
+// weights stay in registers. Lanes never meet, so every step is exact.
+template <class V, std::size_t T, bool kForward>
+__attribute__((always_inline)) inline void mlp_backward(
+    MlpWeights& net, std::size_t base, const double* __restrict x,
+    const double* __restrict hid, const double* __restrict err, double lr,
+    double m, const double* __restrict next_x, double* __restrict z) {
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
+  const std::size_t stride = mlp_padded_units(net.h);
+  V hv[T];
+  V gv[T];  // dh, then g
+  V acc[T];
+  for (std::size_t t = 0; t < T; ++t) {
+    hv[t] = loadv<V>(hid + base + W * t);
+    gv[t] = V{};
+  }
+  for (std::size_t c = 0; c < net.k; ++c) {
+    const double e = err[c];
+    const double scale = lr * e;
+    double* w2 = net.w2.data() + c * (stride + 1) + base;
+    double* v2 = net.v2.data() + c * (stride + 1) + base;
+    for (std::size_t t = 0; t < T; ++t) {
+      const V w = loadv<V>(w2 + W * t);
+      gv[t] += e * w;
+      const V v = m * loadv<V>(v2 + W * t) - scale * hv[t];
+      storev(v2 + W * t, v);
+      storev(w2 + W * t, w + v);
+    }
+  }
+  for (std::size_t t = 0; t < T; ++t)
+    gv[t] = lr * ((gv[t] * hv[t]) * (1.0 - hv[t]));
+
+  double* w1 = net.w1.data() + base;
+  double* v1 = net.v1.data() + base;
+  for (std::size_t t = 0; t < T; ++t) {
+    const std::size_t p = net.d * stride + W * t;
+    const V v = m * loadv<V>(v1 + p) - gv[t];
+    const V w = loadv<V>(w1 + p) + v;
+    storev(v1 + p, v);
+    storev(w1 + p, w);
+    if constexpr (kForward) acc[t] = w;
+  }
+  for (std::size_t f = 0; f < net.d; ++f)
+    for (std::size_t t = 0; t < T; ++t) {
+      const std::size_t p = f * stride + W * t;
+      const V v = m * loadv<V>(v1 + p) - gv[t] * x[f];
+      const V w = loadv<V>(w1 + p) + v;
+      storev(v1 + p, v);
+      storev(w1 + p, w);
+      if constexpr (kForward) acc[t] += w * next_x[f];
+    }
+  if constexpr (kForward)
+    for (std::size_t t = 0; t < T; ++t) storev(z + base + W * t, acc[t]);
+}
+
+// mlp_backward over every tile of the `lanes` units, two tiles at a time.
+template <class V, bool kForward>
+__attribute__((always_inline)) inline void mlp_backward_row(
+    MlpWeights& net, std::size_t lanes, const double* x,
+    const double* hid, const double* err, double lr, double m,
+    const double* next_x, double* z) {
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
+  std::size_t base = 0;
+  for (; base + 2 * W <= lanes; base += 2 * W)
+    mlp_backward<V, 2, kForward>(net, base, x, hid, err, lr, m, next_x, z);
+  if (base < lanes)
+    mlp_backward<V, 1, kForward>(net, base, x, hid, err, lr, m, next_x, z);
+}
+
+template <class V>
+__attribute__((always_inline)) inline void mlp_epoch_body(
+    MlpWeights& net, const double* __restrict x,
+    const std::size_t* __restrict labels, const std::size_t* __restrict order,
+    std::size_t n, double lr, double m) {
+  const std::size_t d = net.d;
+  const std::size_t h = net.h;
+  const std::size_t k = net.k;
+  const std::size_t stride = mlp_padded_units(h);
+  // The lanes this width needs (lanes <= stride); pad lanes beyond them
+  // are never touched.
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
+  static_assert(kMlpLanes % W == 0, "a tile must not straddle the stride");
+  const std::size_t lanes = (h + W - 1) / W * W;
+  // z and hidden, stride each, then the k outputs and errors. Only units
+  // j < h of hidden are ever written, so its pad lanes stay 0, and that
+  // keeps the pad lanes of w1, v1, w2 and v2 at 0.
+  std::vector<double> scratch(2 * stride + 2 * k, 0.0);
+  double* z = scratch.data();
+  double* hid = z + stride;
+  double* out = hid + stride;
+  double* err = out + k;
+  // Row 0's forward runs alone; every later one is fused into the
+  // previous row's backward.
+  if (n > 0) {
+    const double* x0 = x + order[0] * d;
+    std::size_t base = 0;
+    for (; base + 2 * W <= lanes; base += 2 * W)
+      mlp_forward<V, 2>(net.w1.data() + base, stride, d, x0, z + base);
+    if (base < lanes)
+      mlp_forward<V, 1>(net.w1.data() + base, stride, d, x0, z + base);
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t i = order[r];
+    for (std::size_t j = 0; j < h; ++j) hid[j] = sigmoid(z[j]);
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* w2 = net.w2.data() + c * (stride + 1);
+      out[c] = dot({w2, h}, {hid, h}, w2[stride]);
+    }
+    softmax_inplace({out, k});
+
+    // Cross-entropy + softmax: err = out - onehot; the output biases step
+    // here, the unit weights in mlp_backward.
+    const std::size_t y = labels[i];
+    for (std::size_t c = 0; c < k; ++c) {
+      err[c] = out[c] - (c == y ? 1.0 : 0.0);
+      double& v2 = net.v2[c * (stride + 1) + stride];
+      v2 = m * v2 - lr * err[c];
+      net.w2[c * (stride + 1) + stride] += v2;
+    }
+    const double* xi = x + i * d;
+    if (r + 1 < n)
+      mlp_backward_row<V, true>(net, lanes, xi, hid, err, lr, m,
+                                x + order[r + 1] * d, z);
+    else
+      mlp_backward_row<V, false>(net, lanes, xi, hid, err, lr, m, nullptr,
+                                 z);
+  }
+}
+#pragma GCC diagnostic pop
 
 // Dispatch by hand instead of target_clones: the ifunc resolvers clones
 // emit run before sanitizer runtimes initialize and crash TSan/ASan
@@ -374,6 +555,16 @@ __attribute__((target("avx2"))) void affine_avx2(
     const double* __restrict packed, std::size_t k, double* __restrict out) {
   affine_body(a, rows, d, packed, k, out);
 }
+
+// The MLP epoch has no AVX-512 clone: its body runs 4-lane ymm tiles,
+// and an avx512f clone of it did the same vector operations at the same
+// speed (docs/perf.md), so Isa::kAvx512 runs this one.
+__attribute__((target("avx2"))) void mlp_epoch_avx2(
+    MlpWeights& net, const double* __restrict x,
+    const std::size_t* __restrict labels, const std::size_t* __restrict order,
+    std::size_t n, double lr, double m) {
+  mlp_epoch_body<hmd_v4df>(net, x, labels, order, n, lr, m);
+}
 #endif
 
 /// force_isa() override; -1 = unset.
@@ -545,6 +736,66 @@ void affine_batch_as(Isa isa, const double* a, std::size_t rows,
   (void)isa;
 #endif
   affine_body(a, rows, d, packed, k, out);
+}
+
+MlpWeights MlpWeights::pack(const std::vector<std::vector<double>>& units,
+                            const std::vector<std::vector<double>>& classes) {
+  MlpWeights net;
+  net.h = units.size();
+  net.d = units.empty() ? 0 : units[0].size() - 1;
+  net.k = classes.size();
+  const std::size_t stride = mlp_padded_units(net.h);
+  net.w1.assign((net.d + 1) * stride, 0.0);
+  net.w2.assign(net.k * (stride + 1), 0.0);
+  for (std::size_t j = 0; j < net.h; ++j) {
+    HMD_REQUIRE(units[j].size() == net.d + 1, "MLP unit rows differ in size");
+    for (std::size_t f = 0; f <= net.d; ++f)
+      net.w1[f * stride + j] = units[j][f];
+  }
+  for (std::size_t c = 0; c < net.k; ++c) {
+    HMD_REQUIRE(classes[c].size() == net.h + 1, "MLP class row size != h + 1");
+    double* row = net.w2.data() + c * (stride + 1);
+    std::copy_n(classes[c].begin(), net.h, row);
+    row[stride] = classes[c][net.h];
+  }
+  net.v1.assign(net.w1.size(), 0.0);
+  net.v2.assign(net.w2.size(), 0.0);
+  return net;
+}
+
+void MlpWeights::unpack(std::vector<std::vector<double>>& units,
+                        std::vector<std::vector<double>>& classes) const {
+  const std::size_t stride = mlp_padded_units(h);
+  units.assign(h, std::vector<double>(d + 1));
+  for (std::size_t j = 0; j < h; ++j)
+    for (std::size_t f = 0; f <= d; ++f) units[j][f] = w1[f * stride + j];
+  classes.assign(k, std::vector<double>(h + 1));
+  for (std::size_t c = 0; c < k; ++c) {
+    const double* row = w2.data() + c * (stride + 1);
+    std::copy_n(row, h, classes[c].begin());
+    classes[c][h] = row[stride];
+  }
+}
+
+void mlp_sgd_epoch(MlpWeights& net, const double* x,
+                   const std::size_t* labels, const std::size_t* order,
+                   std::size_t n, double lr, double m) {
+  mlp_sgd_epoch_as(active_isa(), net, x, labels, order, n, lr, m);
+}
+
+void mlp_sgd_epoch_as(Isa isa, MlpWeights& net, const double* x,
+                      const std::size_t* labels, const std::size_t* order,
+                      std::size_t n, double lr, double m) {
+#ifdef HMD_SIMD_DISPATCH
+  switch (isa) {
+    case Isa::kAvx512:  // the AVX2 clone is the AVX-512 path too
+    case Isa::kAvx2: mlp_epoch_avx2(net, x, labels, order, n, lr, m); return;
+    case Isa::kScalar: break;
+  }
+#else
+  (void)isa;
+#endif
+  mlp_epoch_body<hmd_v2df>(net, x, labels, order, n, lr, m);
 }
 
 void gemv_row_major(std::span<const double> matrix, std::size_t rows,

@@ -12,20 +12,25 @@
 // change — the determinism regression tests will catch it. Integer
 // kernels are exempt: exact math, so reassociation is a pure speed change.
 //
-// SIMD dispatch: the out-of-line kernels (screen, GEMM) carry scalar +
-// AVX2 + AVX-512 clones selected at runtime (active_isa()). The choice is
-// overridable via the HMD_KERNEL_ISA environment variable or force_isa()
-// so heterogeneous CI runners produce reproducible codepaths, and every
-// clone of a float kernel is bit-identical by construction — pinned by
-// the dispatch-parity test suite through the *_as(Isa, ...) entry points.
+// SIMD dispatch: the out-of-line kernels (screen, GEMM, MLP epoch) carry
+// scalar + AVX2 (+ AVX-512) clones selected at runtime (active_isa()).
+// The choice is overridable via the HMD_KERNEL_ISA environment variable
+// or force_isa() so heterogeneous CI runners produce reproducible
+// codepaths, and every clone of a float kernel is bit-identical by
+// construction — pinned by the dispatch-parity test suite through the
+// *_as(Isa, ...) entry points.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace hmd::ml::kernels {
 
@@ -51,6 +56,25 @@ inline void axpy(double alpha, std::span<const double> x,
                  std::span<double> y) {
   const std::size_t n = x.size();
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// Logistic sigmoid through glibc exp (MLP hidden units).
+inline double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
+
+/// Numerically stable in-place softmax of logits. Inline: training and
+/// batch scoring call it once per row. The max element's shifted logit is
+/// exactly 0.0 and std::exp(0.0) is exactly 1.0, so skipping the libm call
+/// there changes nothing but the call count.
+inline void softmax_inplace(std::span<double> logits) {
+  HMD_REQUIRE(!logits.empty(), "softmax of empty vector");
+  const double mx = *std::max_element(logits.begin(), logits.end());
+  double total = 0.0;
+  for (double& v : logits) {
+    const double t = v - mx;
+    v = t == 0.0 ? 1.0 : std::exp(t);
+    total += v;
+  }
+  for (double& v : logits) v /= total;
 }
 
 /// Σ (a[i]-b[i])², accumulated left to right.
@@ -201,6 +225,57 @@ void affine_batch(const double* a, std::size_t rows, std::size_t d,
 void affine_batch_as(Isa isa, const double* a, std::size_t rows,
                      std::size_t d, const double* packed, std::size_t k,
                      double* out);
+
+/// The weights one MLP SGD epoch updates in place, packed so that both
+/// layers keep one SIMD lane per hidden unit. With H = h rounded up to a
+/// whole number of 4-lane tiles:
+///   w1[f*H + j]      weight of input f into hidden unit j (f < d), the
+///                    biases in row f = d;
+///   w2[c*(H+1) + j]  weight of hidden unit j into class c, the bias at
+///                    j = H;
+///   v1, v2           their momenta, same layouts.
+/// Lanes j >= h hold 0 and stay 0. pack/unpack convert from and to the
+/// per-unit rows the Mlp model stores.
+struct MlpWeights {
+  std::size_t d = 0;  ///< input features
+  std::size_t h = 0;  ///< hidden units
+  std::size_t k = 0;  ///< classes
+  std::vector<double> w1, v1, w2, v2;
+
+  /// From per-unit rows: units[j] = hidden unit j's d input weights then
+  /// its bias, classes[c] = class c's h unit weights then its bias (the
+  /// Mlp model's w1() and w2()). Momenta start at 0.
+  static MlpWeights pack(const std::vector<std::vector<double>>& units,
+                         const std::vector<std::vector<double>>& classes);
+  /// Back into per-unit rows, the shapes pack takes.
+  void unpack(std::vector<std::vector<double>>& units,
+              std::vector<std::vector<double>>& classes) const;
+};
+
+/// One epoch of the MLP's SGD with momentum `m` at learning rate `lr`,
+/// over rows order[0..n) of `x` (standardized, d per row) with classes
+/// `labels`. Per row, hidden unit j and class c:
+///
+///   z[j]   = w1[d][j] + Σ_f ascending w1[f][j]*x[f];  hid[j] = sigmoid(z[j])
+///   out    = softmax_inplace(w2[c][h] + Σ_j ascending w2[c][j]*hid[j])
+///   err[c] = out[c] - (c == y);  dh[j] = Σ_c ascending err[c]*w2[c][j]
+///            (pre-update w2), then per class v2 = m*v2 - (lr*err)*hid,
+///            w2 += v2 (bias: v2 = m*v2 - lr*err)
+///   g[j]   = lr * (dh[j]*hid[j]*(1 - hid[j]))
+///   each w1 row f: v1 = m*v1 - g*x[f]; w1 += v1 (bias row: m*v1 - g)
+///
+/// SIMD lanes span hidden units and never a reduction, so each lane runs
+/// the per-unit loop's operations in its order and every clone matches
+/// it bit for bit (tests/ml/mlp_reference.hpp). Runtime-dispatched
+/// scalar and AVX2 clones (Isa::kAvx512 runs the AVX2 one); sigmoid and
+/// softmax stay scalar glibc exp.
+void mlp_sgd_epoch(MlpWeights& net, const double* x,
+                   const std::size_t* labels, const std::size_t* order,
+                   std::size_t n, double lr, double m);
+/// Fixed-ISA variant for the dispatch-parity tests.
+void mlp_sgd_epoch_as(Isa isa, MlpWeights& net, const double* x,
+                      const std::size_t* labels, const std::size_t* order,
+                      std::size_t n, double lr, double m);
 
 /// Standardize `x` into `out`: (x-mean)/stddev per feature, 0 where the
 /// training stddev was 0 (constant column). Matches Standardizer::transform

@@ -38,7 +38,7 @@ void Logistic::train(const DatasetView& data) {
       for (std::size_t c = 0; c < k; ++c) {
         logits[c] = kernels::dot({weights_[c].data(), d}, xi, weights_[c][d]);
       }
-      softmax_inplace(logits);
+      kernels::softmax_inplace(logits);
       const std::size_t y = labels[i];
       for (std::size_t c = 0; c < k; ++c) {
         const double err = logits[c] - (c == y ? 1.0 : 0.0);
@@ -72,7 +72,7 @@ std::vector<double> Logistic::distribution(
   std::vector<double> logits(weights_.size());
   for (std::size_t c = 0; c < weights_.size(); ++c)
     logits[c] = kernels::affine_bias_last(weights_[c], x);
-  softmax_inplace(logits);
+  kernels::softmax_inplace(logits);
   return logits;
 }
 
@@ -101,7 +101,7 @@ void Logistic::distribution_batch(std::span<const double> flat,
     kernels::affine_batch(x.data(), lim, window_size, packed_.data(), k,
                           out.data() + base * k);
     for (std::size_t r = 0; r < lim; ++r)
-      softmax_inplace(out.subspan((base + r) * k, k));
+      kernels::softmax_inplace(out.subspan((base + r) * k, k));
   }
 }
 

@@ -6,13 +6,10 @@
 // cross-entropy, over internally standardized features.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "ml/classifier.hpp"
 #include "ml/preprocess.hpp"
-#include "util/error.hpp"
 
 namespace hmd::ml {
 
@@ -57,21 +54,5 @@ class Logistic final : public Classifier {
   /// weights_ in the feature-major layout kernels::affine_batch consumes.
   std::vector<double> packed_;
 };
-
-/// Numerically stable in-place softmax of logits. Inline: training and
-/// batch scoring call it once per row. The max element's shifted logit is
-/// exactly 0.0 and std::exp(0.0) is exactly 1.0, so skipping the libm call
-/// there changes nothing but the call count.
-inline void softmax_inplace(std::span<double> logits) {
-  HMD_REQUIRE(!logits.empty(), "softmax of empty vector");
-  const double mx = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& v : logits) {
-    const double t = v - mx;
-    v = t == 0.0 ? 1.0 : std::exp(t);
-    total += v;
-  }
-  for (double& v : logits) v /= total;
-}
 
 }  // namespace hmd::ml

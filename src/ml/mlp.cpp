@@ -5,15 +5,10 @@
 #include <numeric>
 
 #include "ml/kernels.hpp"
-#include "ml/logistic.hpp"  // softmax_inplace
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace hmd::ml {
-
-namespace {
-double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
-}  // namespace
 
 void Mlp::train(const DatasetView& data) {
   require_trainable(data);
@@ -44,17 +39,10 @@ void Mlp::train(const DatasetView& data) {
     for (double& w : row) w = init(d + 1);
   for (auto& row : w2_)
     for (double& w : row) w = init(h + 1);
-
-  std::vector<std::vector<double>> v1(h, std::vector<double>(d + 1, 0.0));
-  std::vector<std::vector<double>> v2(k, std::vector<double>(h + 1, 0.0));
+  kernels::MlpWeights net = kernels::MlpWeights::pack(w1_, w2_);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-
-  std::vector<double> hidden(h);
-  std::vector<double> out(k);
-  std::vector<double> delta_h(h);
-
   for (std::size_t epoch = 0; epoch < params_.epochs; ++epoch) {
     const double lr =
         params_.decay ? params_.learning_rate /
@@ -62,44 +50,11 @@ void Mlp::train(const DatasetView& data) {
                                        static_cast<double>(params_.epochs))
                       : params_.learning_rate;
     rng.shuffle(order);
-    for (std::size_t idx : order) {
-      const std::span<const double> xi{x.data() + idx * d, d};
-      // Forward.
-      for (std::size_t j = 0; j < h; ++j)
-        hidden[j] = sigmoid(kernels::dot({w1_[j].data(), d}, xi, w1_[j][d]));
-      for (std::size_t c = 0; c < k; ++c)
-        out[c] = kernels::dot({w2_[c].data(), h}, hidden, w2_[c][h]);
-      softmax_inplace(out);
-
-      // Backward (cross-entropy + softmax → out - onehot). delta_h is
-      // accumulated from the PRE-update output weights, then the momentum
-      // step runs per layer — value-identical to the interleaved per-j
-      // form, since each delta_h[j] read w2_[c][j] before that j updated.
-      const std::size_t y = labels[idx];
-      std::fill(delta_h.begin(), delta_h.end(), 0.0);
-      for (std::size_t c = 0; c < k; ++c) {
-        const double err = out[c] - (c == y ? 1.0 : 0.0);
-        kernels::axpy(err, {w2_[c].data(), h}, delta_h);
-        const double scale = lr * err;
-        for (std::size_t j = 0; j < h; ++j) {
-          v2[c][j] = params_.momentum * v2[c][j] - scale * hidden[j];
-          w2_[c][j] += v2[c][j];
-        }
-        v2[c][h] = params_.momentum * v2[c][h] - lr * err;
-        w2_[c][h] += v2[c][h];
-      }
-      for (std::size_t j = 0; j < h; ++j) {
-        const double grad = delta_h[j] * hidden[j] * (1.0 - hidden[j]);
-        const double scale = lr * grad;
-        for (std::size_t f = 0; f < d; ++f) {
-          v1[j][f] = params_.momentum * v1[j][f] - scale * xi[f];
-          w1_[j][f] += v1[j][f];
-        }
-        v1[j][d] = params_.momentum * v1[j][d] - lr * grad;
-        w1_[j][d] += v1[j][d];
-      }
-    }
+    kernels::mlp_sgd_epoch(net, x.data(), labels.data(), order.data(), n, lr,
+                           params_.momentum);
   }
+
+  net.unpack(w1_, w2_);
   build_packed();
 }
 
@@ -111,7 +66,7 @@ void Mlp::build_packed() {
 std::vector<double> Mlp::hidden_activations(std::span<const double> x) const {
   std::vector<double> hidden(w1_.size());
   for (std::size_t j = 0; j < w1_.size(); ++j)
-    hidden[j] = sigmoid(kernels::affine_bias_last(w1_[j], x));
+    hidden[j] = kernels::sigmoid(kernels::affine_bias_last(w1_[j], x));
   return hidden;
 }
 
@@ -122,7 +77,7 @@ std::vector<double> Mlp::distribution(std::span<const double> features) const {
   std::vector<double> out(w2_.size());
   for (std::size_t c = 0; c < w2_.size(); ++c)
     out[c] = kernels::affine_bias_last(w2_[c], hidden);
-  softmax_inplace(out);
+  kernels::softmax_inplace(out);
   return out;
 }
 
@@ -153,11 +108,12 @@ void Mlp::distribution_batch(std::span<const double> flat,
                               stddev, x.data());
     kernels::affine_batch(x.data(), lim, window_size, packed1_.data(), h,
                           hidden.data());
-    for (std::size_t i = 0; i < lim * h; ++i) hidden[i] = sigmoid(hidden[i]);
+    for (std::size_t i = 0; i < lim * h; ++i)
+      hidden[i] = kernels::sigmoid(hidden[i]);
     kernels::affine_batch(hidden.data(), lim, h, packed2_.data(), k,
                           out.data() + base * k);
     for (std::size_t r = 0; r < lim; ++r)
-      softmax_inplace(out.subspan((base + r) * k, k));
+      kernels::softmax_inplace(out.subspan((base + r) * k, k));
   }
 }
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ml/evaluation.hpp"
+#include "ml/kernels.hpp"
 #include "ml/knn.hpp"
 #include "ml/logistic.hpp"
 #include "ml/mlp.hpp"
 #include "ml/svm.hpp"
+#include "tests/ml/mlp_reference.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
 
@@ -17,7 +20,7 @@ using namespace testdata;
 
 TEST(Softmax, NormalizesAndOrders) {
   std::vector<double> logits = {1.0, 3.0, 2.0};
-  softmax_inplace(logits);
+  kernels::softmax_inplace(logits);
   double total = 0.0;
   for (double p : logits) total += p;
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -27,7 +30,7 @@ TEST(Softmax, NormalizesAndOrders) {
 
 TEST(Softmax, StableForLargeLogits) {
   std::vector<double> logits = {1000.0, 1001.0};
-  softmax_inplace(logits);
+  kernels::softmax_inplace(logits);
   EXPECT_TRUE(std::isfinite(logits[0]));
   EXPECT_NEAR(logits[0] + logits[1], 1.0, 1e-12);
 }
@@ -175,6 +178,46 @@ TEST(Mlp, MulticlassAccuracy) {
   Mlp mlp({.epochs = 80});
   mlp.train(d);
   EXPECT_GT(evaluate(mlp, d).accuracy(), 0.95);
+}
+
+/// Same shape and the same bits in every weight.
+bool same_bits(const std::vector<std::vector<double>>& a,
+               const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t r = 0; r < a.size(); ++r)
+    if (a[r].size() != b[r].size() ||
+        std::memcmp(a[r].data(), b[r].data(), a[r].size() * sizeof(double)))
+      return false;
+  return true;
+}
+
+TEST(Mlp, TrainMatchesPerRowReferenceBitForBit) {
+  // h spans one unit, partial tiles, whole tiles and several tile groups
+  // of every clone's lane width.
+  const kernels::Isa saved = kernels::active_isa();
+  const Dataset binary = blobs(2, 6, 40, 1.0, 1.5, 21);
+  const Dataset multi = blobs(3, 5, 30, 1.5, 1.2, 22);
+  for (const kernels::Isa isa :
+       {kernels::Isa::kScalar, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+    if (!kernels::isa_supported(isa)) continue;
+    kernels::force_isa(isa);
+    for (const Dataset* data : {&binary, &multi})
+      for (const std::size_t h : {1, 3, 5, 9, 13, 33})
+        for (const bool decay : {true, false}) {
+          const Mlp::Params params{
+              .hidden_units = h, .epochs = 7, .decay = decay, .seed = 5};
+          Mlp mlp(params);
+          mlp.train(*data);
+          const auto ref = testref::train_mlp_reference(*data, params);
+          EXPECT_TRUE(same_bits(mlp.w1(), ref.w1))
+              << kernels::to_string(isa) << " k=" << data->num_classes()
+              << " h=" << h << " decay=" << decay;
+          EXPECT_TRUE(same_bits(mlp.w2(), ref.w2))
+              << kernels::to_string(isa) << " k=" << data->num_classes()
+              << " h=" << h << " decay=" << decay;
+        }
+  }
+  kernels::force_isa(saved);
 }
 
 TEST(Knn, AccurateOnSeparableData) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "util/error.hpp"
@@ -261,6 +262,48 @@ TEST(KernelsDispatch, GoldenFingerprintIntegerKernels) {
     for (const std::int32_t v : acc)
       h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
     EXPECT_EQ(h, 0xa81ae691b8e8f7f7ull) << to_string(isa);
+  }
+}
+
+TEST(KernelsDispatch, MlpEpochBitIdenticalAcrossIsas) {
+  Rng rng(47);
+  const std::size_t d = 7, k = 3, n = 41;
+  std::vector<double> x(n * d);
+  for (double& v : x) v = rng.normal(0.0, 1.0);
+  std::vector<std::size_t> labels(n), order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = static_cast<std::size_t>(rng.uniform_int(0, k - 1));
+    order[i] = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+  }
+  for (const std::size_t h : {1, 4, 6, 17}) {
+    std::vector<std::vector<double>> w1(h, std::vector<double>(d + 1));
+    std::vector<std::vector<double>> w2(k, std::vector<double>(h + 1));
+    for (auto* rows : {&w1, &w2})
+      for (auto& row : *rows)
+        for (double& w : row) w = rng.normal(0.0, 0.5);
+    std::optional<MlpWeights> ref;
+    for (const Isa isa : supported_isas()) {
+      MlpWeights net = MlpWeights::pack(w1, w2);
+      // The second epoch starts from the first one's momenta.
+      for (const double lr : {0.05, 0.03})
+        mlp_sgd_epoch_as(isa, net, x.data(), labels.data(), order.data(), n,
+                         lr, 0.9);
+      // pack() zeroes the pad lanes, so a round trip through the per-unit
+      // rows reproduces w1 and w2 only if their pad lanes stayed 0.
+      std::vector<std::vector<double>> u1, u2;
+      net.unpack(u1, u2);
+      const MlpWeights repacked = MlpWeights::pack(u1, u2);
+      ASSERT_EQ(repacked.w1, net.w1) << to_string(isa) << " h=" << h;
+      ASSERT_EQ(repacked.w2, net.w2) << to_string(isa) << " h=" << h;
+      if (!ref) {
+        ref = std::move(net);
+        continue;
+      }
+      EXPECT_EQ(ref->w1, net.w1) << to_string(isa) << " h=" << h;
+      EXPECT_EQ(ref->v1, net.v1) << to_string(isa) << " h=" << h;
+      EXPECT_EQ(ref->w2, net.w2) << to_string(isa) << " h=" << h;
+      EXPECT_EQ(ref->v2, net.v2) << to_string(isa) << " h=" << h;
+    }
   }
 }
 

@@ -525,6 +525,55 @@ TEST(StreamEngine, MetricsAccountForEveryWindow) {
   metrics().reset();
 }
 
+TEST(StreamEngine, DetectorCountersCountEveryWindowOnce) {
+  // Once drained, the process-wide detector counters balance exactly
+  // against the monitors: every window scored once, at any shard count.
+  StubModel model;
+  const auto policy =
+      OnlineDetectorConfig{.flag_threshold = 0.9, .confirm_windows = 2};
+  constexpr std::size_t kStreams = 9;
+  constexpr std::size_t kWindows = 120;
+  std::vector<std::vector<std::vector<double>>> workload;
+  for (std::size_t s = 0; s < kStreams; ++s)
+    workload.push_back(make_stream_windows(900 + s, kWindows, 1));
+  for (const std::size_t shards : {1u, 4u}) {
+    Counter& scored = metrics().counter("online_detector.windows_scored");
+    Counter& flagged = metrics().counter("online_detector.windows_flagged");
+    Counter& alarms = metrics().counter("online_detector.alarms");
+    const std::uint64_t scored_before = scored.value();
+    const std::uint64_t flagged_before = flagged.value();
+    const std::uint64_t alarms_before = alarms.value();
+    ServeConfig config;
+    config.window_size = 1;
+    config.num_shards = shards;
+    config.policy = policy;
+    StreamEngine engine(model, config);
+    std::vector<StreamEngine::StreamHandle> handles;
+    for (std::size_t s = 0; s < kStreams; ++s)
+      handles.push_back(engine.register_stream(s * 7));
+    for (std::size_t w = 0; w < kWindows; ++w)
+      for (std::size_t s = 0; s < kStreams; ++s)
+        engine.ingest(handles[s], workload[s][w]);
+    engine.drain();
+
+    std::uint64_t monitor_flagged = 0;
+    std::uint64_t alarmed = 0;
+    for (auto* h : handles) {
+      monitor_flagged += engine.monitor(h).state().flagged;
+      if (engine.monitor(h).alarmed()) ++alarmed;
+    }
+    const std::string label = std::to_string(shards) + " shards";
+    EXPECT_EQ(scored.value() - scored_before, engine.total_ingested())
+        << label;
+    EXPECT_EQ(engine.total_ingested(), kStreams * kWindows) << label;
+    EXPECT_EQ(flagged.value() - flagged_before, monitor_flagged) << label;
+    EXPECT_GT(monitor_flagged, 0u) << label;
+    EXPECT_EQ(alarms.value() - alarms_before, alarmed) << label;
+    EXPECT_GT(alarmed, 0u) << label;
+    engine.shutdown();
+  }
+}
+
 TEST(StreamEngine, E2eLatencySamplesOneWindowIn64PerStream) {
   metrics().reset();
   StubModel model;
