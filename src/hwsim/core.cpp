@@ -1,5 +1,7 @@
 #include "hwsim/core.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace hmd::hwsim {
@@ -12,15 +14,20 @@ Core::Core(CoreConfig config, MemoryHierarchy memory)
   HMD_REQUIRE(config_.bus_ratio > 0, "bus ratio must be positive");
   HMD_REQUIRE(config_.fetch_line_bytes >= 16,
               "fetch line must be at least 16 bytes");
+  HMD_REQUIRE(std::has_single_bit(config_.fetch_line_bytes),
+              "fetch line must be a power of two");
+  fetch_line_shift_ = static_cast<unsigned>(
+      std::countr_zero(config_.fetch_line_bytes));
 }
 
 void Core::charge_cycles(std::uint64_t cycles) {
   cycles_ += cycles;
   pmu_.add(HwEvent::kCycles, cycles);
   bus_cycle_remainder_ += cycles;
-  const std::uint64_t bus = bus_cycle_remainder_ / config_.bus_ratio;
-  if (bus > 0) {
-    pmu_.add(HwEvent::kBusCycles, bus);
+  // Most ops charge a cycle or two against a ratio of 33: divide only when
+  // a whole bus cycle has accumulated.
+  if (bus_cycle_remainder_ >= config_.bus_ratio) {
+    pmu_.add(HwEvent::kBusCycles, bus_cycle_remainder_ / config_.bus_ratio);
     bus_cycle_remainder_ %= config_.bus_ratio;
   }
 }
@@ -55,7 +62,7 @@ void Core::execute(const MicroOp& op) {
   pmu_.add(HwEvent::kInstructions);
 
   // Fetch: one L1I access per new fetch line; taken branches refetch.
-  const std::uint64_t line = op.pc / config_.fetch_line_bytes;
+  const std::uint64_t line = op.pc >> fetch_line_shift_;
   if (line != last_fetch_line_) {
     last_fetch_line_ = line;
     const AccessOutcome fetch = memory_.fetch(op.pc);

@@ -18,7 +18,7 @@ struct CoreConfig {
   std::uint32_t branch_miss_penalty = 14;  ///< pipeline refill cycles
   std::uint32_t bus_ratio = 33;            ///< core cycles per bus cycle (100 MHz bus)
   /// Instruction fetches hit the L1I once per fetched line, not per op; a
-  /// taken branch always refetches.
+  /// taken branch always refetches. A power of two, at least 16.
   std::uint32_t fetch_line_bytes = 64;
 };
 
@@ -78,6 +78,7 @@ class Core {
   std::uint64_t last_synced_cycles_ = 0;
   std::uint64_t last_fetch_line_ = ~std::uint64_t{0};
   std::uint64_t bus_cycle_remainder_ = 0;
+  unsigned fetch_line_shift_ = 0;  ///< log2(config_.fetch_line_bytes)
 
   enum class MemAccessKind { kInstructionFetch, kDataLoad, kDataStore };
 

@@ -56,7 +56,9 @@ double log2_ratio(double p, double n) {
 }
 
 /// Candidate thresholds for one feature: quantiles over the rows the rule
-/// currently covers (subsampled for cost).
+/// currently covers (subsampled for cost), sorted and unique. NaN cells are
+/// dropped: they would break the sort's ordering, and a NaN threshold
+/// covers no row on either side.
 std::vector<double> candidate_thresholds(const ColumnData& data,
                                          const std::vector<std::size_t>& rows,
                                          std::size_t feature,
@@ -66,12 +68,13 @@ std::vector<double> candidate_thresholds(const ColumnData& data,
   const std::size_t max_sample = 512;
   if (rows.size() <= max_sample) {
     values.reserve(rows.size());
-    for (std::size_t r : rows) values.push_back(col[r]);
+    for (std::size_t r : rows)
+      if (!std::isnan(col[r])) values.push_back(col[r]);
   } else {
     values.reserve(max_sample);
     for (std::size_t i = 0; i < max_sample; ++i) {
       const std::size_t r = rows[rng.uniform_index(rows.size())];
-      values.push_back(col[r]);
+      if (!std::isnan(col[r])) values.push_back(col[r]);
     }
   }
   std::sort(values.begin(), values.end());
@@ -86,6 +89,30 @@ std::vector<double> candidate_thresholds(const ColumnData& data,
   }
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+/// Bins the covered rows of one feature against its sorted thresholds t:
+/// a row with value v lands in bin b = #{j : t[j] < v}, so v <= t[j]
+/// exactly when b <= j. bins[2b] counts the bin's positives and
+/// bins[2b + 1] its negatives; NaN rows fall on neither side of any
+/// threshold and are left out. Returns the non-NaN total.
+Coverage bin_rows(const double* col, const std::vector<std::uint32_t>& classes,
+                  const std::vector<std::size_t>& rows, std::size_t cls,
+                  std::span<const double> t, std::vector<std::size_t>& bins) {
+  bins.assign(2 * (t.size() + 1), 0);
+  for (std::size_t r : rows) {
+    const double v = col[r];
+    if (std::isnan(v)) continue;
+    std::size_t b = 0;
+    for (double tj : t) b += static_cast<std::size_t>(tj < v);
+    ++bins[2 * b + static_cast<std::size_t>(classes[r] != cls)];
+  }
+  Coverage total;
+  for (std::size_t b = 0; b <= t.size(); ++b) {
+    total.pos += bins[2 * b];
+    total.neg += bins[2 * b + 1];
+  }
+  return total;
 }
 
 }  // namespace
@@ -119,6 +146,7 @@ void JRip::train(const DatasetView& view) {
 
   std::vector<std::size_t> remaining(n);
   std::iota(remaining.begin(), remaining.end(), 0);
+  std::vector<std::size_t> bins;  // bin_rows scratch
 
   for (std::size_t ci = 0; ci + 1 < order.size(); ++ci) {
     const std::size_t cls = order[ci];
@@ -155,35 +183,36 @@ void JRip::train(const DatasetView& view) {
         Coverage best_cov;
         const double base = log2_ratio(static_cast<double>(cov.pos),
                                        static_cast<double>(cov.neg));
+        auto consider = [&](const Condition& cond, const Coverage& c) {
+          if (c.pos == 0) return;
+          const double gain =
+              static_cast<double>(c.pos) *
+              (log2_ratio(static_cast<double>(c.pos),
+                          static_cast<double>(c.neg)) -
+               base);
+          if (gain > best_gain) {
+            best_gain = gain;
+            best_cond = cond;
+            best_cov = c;
+          }
+        };
+        // One binned sweep per feature scores all of its candidates: the
+        // prefix sums of the bins give the coverage of `v <= t` for each
+        // threshold ascending, and `v > t` is the non-NaN rest. Candidates
+        // are visited in (feature, threshold, <= before >) order.
         for (std::size_t f = 0; f < num_features; ++f) {
           const auto thresholds = candidate_thresholds(
               data, covered, f, params_.thresholds_per_feature, rng);
-          const double* col = data.col(f);
-          for (double t : thresholds) {
-            for (bool greater : {false, true}) {
-              const Condition cond{.feature = f, .greater = greater,
-                                   .threshold = t};
-              Coverage c;
-              for (std::size_t r : covered) {
-                const double v = col[r];
-                if (!(greater ? v > t : v <= t)) continue;
-                if (data.classes[r] == cls)
-                  ++c.pos;
-                else
-                  ++c.neg;
-              }
-              if (c.pos == 0) continue;
-              const double gain =
-                  static_cast<double>(c.pos) *
-                  (log2_ratio(static_cast<double>(c.pos),
-                              static_cast<double>(c.neg)) -
-                   base);
-              if (gain > best_gain) {
-                best_gain = gain;
-                best_cond = cond;
-                best_cov = c;
-              }
-            }
+          const Coverage total = bin_rows(data.col(f), data.classes, covered,
+                                          cls, thresholds, bins);
+          Coverage le;
+          for (std::size_t j = 0; j < thresholds.size(); ++j) {
+            le.pos += bins[2 * j];
+            le.neg += bins[2 * j + 1];
+            const double t = thresholds[j];
+            consider({.feature = f, .greater = false, .threshold = t}, le);
+            consider({.feature = f, .greater = true, .threshold = t},
+                     {.pos = total.pos - le.pos, .neg = total.neg - le.neg});
           }
         }
         if (best_gain <= 1e-9) break;

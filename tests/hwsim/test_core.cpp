@@ -102,6 +102,19 @@ TEST(Core, SequentialFetchTouchesICacheOncePerLine) {
   EXPECT_EQ(core.memory().l1i().accesses(), 2u);
 }
 
+TEST(Core, RejectsFetchLineThatIsNotAPowerOfTwo) {
+  EXPECT_THROW(Core(CoreConfig{.fetch_line_bytes = 48}), PreconditionError);
+  EXPECT_THROW(Core(CoreConfig{.fetch_line_bytes = 8}), PreconditionError);
+  EXPECT_NO_THROW(Core(CoreConfig{.fetch_line_bytes = 32}));
+}
+
+TEST(Core, FetchLineWidthSetsFetchCount) {
+  // 32 sequential ALU ops = 128 bytes = 4 fetch lines of 32 bytes.
+  Core core(CoreConfig{.fetch_line_bytes = 32});
+  for (int i = 0; i < 32; ++i) core.execute(alu(0x400000 + 4u * i));
+  EXPECT_EQ(core.memory().l1i().accesses(), 4u);
+}
+
 TEST(Core, TakenBranchForcesRefetch) {
   Core core;
   core.execute(alu(0x400000));

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 
 #include "ml/evaluation.hpp"
 #include "ml/j48.hpp"
 #include "ml/jrip.hpp"
 #include "ml/zero_r.hpp"
+#include "tests/ml/jrip_reference.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
 
@@ -212,6 +217,120 @@ TEST(JRip, BeatsZeroROnImbalancedSeparableData) {
   rip.train(d);
   z.train(d);
   EXPECT_GT(evaluate(rip, d).accuracy(), evaluate(z, d).accuracy());
+}
+
+/// Copy of `d` with every feature cell replaced by cell(row, feature, value).
+template <class CellFn>
+Dataset map_cells(const Dataset& d, CellFn cell) {
+  Dataset out(d.attributes(), d.relation());
+  for (std::size_t i = 0; i < d.num_instances(); ++i) {
+    const auto src = d.row(i);
+    std::vector<double> row(src.begin(), src.end());
+    for (std::size_t f = 0; f < d.num_features(); ++f)
+      row[f] = cell(i, f, row[f]);
+    out.add_row(row);
+  }
+  return out;
+}
+
+/// The rule list, rule by rule and condition by condition, with thresholds
+/// compared by bit pattern.
+void expect_same_model(const JRip& rip,
+                       const testref::JRipReferenceModel& ref) {
+  ASSERT_EQ(rip.rules().size(), ref.rules.size());
+  for (std::size_t i = 0; i < ref.rules.size(); ++i) {
+    const JRip::Rule& got = rip.rules()[i];
+    const JRip::Rule& want = ref.rules[i];
+    EXPECT_EQ(got.cls, want.cls) << "rule " << i;
+    ASSERT_EQ(got.conditions.size(), want.conditions.size()) << "rule " << i;
+    for (std::size_t c = 0; c < want.conditions.size(); ++c) {
+      EXPECT_EQ(got.conditions[c].feature, want.conditions[c].feature)
+          << "rule " << i << " condition " << c;
+      EXPECT_EQ(got.conditions[c].greater, want.conditions[c].greater)
+          << "rule " << i << " condition " << c;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.conditions[c].threshold),
+                std::bit_cast<std::uint64_t>(want.conditions[c].threshold))
+          << "rule " << i << " condition " << c;
+    }
+  }
+  EXPECT_EQ(rip.default_class(), ref.default_class);
+}
+
+void expect_matches_reference(const DatasetView& data,
+                              JRip::Params params = {}) {
+  JRip rip(params);
+  rip.train(data);
+  ASSERT_FALSE(rip.rules().empty());
+  expect_same_model(rip, testref::train_jrip_reference(data, params));
+}
+
+TEST(JRip, TrainMatchesPerThresholdReference) {
+  {
+    SCOPED_TRACE("more than 512 grow rows: sampled candidates");
+    const Dataset d = blobs(2, 6, 600, 1.0, 1.5, 31);
+    expect_matches_reference(d);
+    std::vector<std::size_t> odd(d.num_instances() / 2);
+    std::iota(odd.begin(), odd.end(), 0);
+    for (std::size_t& r : odd) r = 2 * r + 1;
+    expect_matches_reference(DatasetView(d).select(odd));
+  }
+  {
+    SCOPED_TRACE("heavy ties: every cell on a half-unit grid");
+    const Dataset d = map_cells(
+        blobs(2, 4, 400, 1.0, 1.5, 32),
+        [](std::size_t, std::size_t, double v) {
+          return std::round(v * 2.0) / 2.0;
+        });
+    expect_matches_reference(d);
+    expect_matches_reference(d, {.thresholds_per_feature = 48});
+  }
+  {
+    SCOPED_TRACE("signed zeros and infinities");
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const Dataset d = map_cells(
+        blobs(2, 4, 400, 1.0, 1.5, 33),
+        [](std::size_t r, std::size_t f, double v) {
+          switch ((r * 7 + f * 3) % 13) {
+            case 0: return -0.0;
+            case 1: return 0.0;
+            case 2: return kInf;
+            case 3: return -kInf;
+            default: return v;
+          }
+        });
+    expect_matches_reference(d);
+  }
+  {
+    SCOPED_TRACE("four classes");
+    expect_matches_reference(blobs(4, 5, 200, 2.0, 1.0, 34));
+  }
+  {
+    SCOPED_TRACE("golden fixture");
+    expect_matches_reference(overlapping_binary(120));
+  }
+}
+
+TEST(JRip, NaNCellsAreNeverThresholds) {
+  // A Dataset built in code may hold NaN. Candidate thresholds skip NaN
+  // cells, and a NaN row falls on neither side of any condition.
+  const Dataset d = map_cells(
+      blobs(2, 4, 400, 1.0, 1.5, 35),
+      [](std::size_t r, std::size_t f, double v) {
+        return f == 1 && r % 3 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                    : v;
+      });
+  JRip first;
+  first.train(d);
+  JRip second;
+  second.train(d);
+  ASSERT_FALSE(first.rules().empty());
+  expect_same_model(first,
+                    {.rules = second.rules(),
+                     .default_class = second.default_class()});
+  expect_same_model(first, testref::train_jrip_reference(d, {}));
+  for (const JRip::Rule& rule : first.rules())
+    for (const JRip::Condition& c : rule.conditions)
+      EXPECT_FALSE(std::isnan(c.threshold));
 }
 
 // Both tree/rule learners stay sane across class counts.

@@ -43,8 +43,8 @@ TEST(Archetypes, WeightsNormalize) {
 TEST(Archetypes, BackdoorIsBranchyAndTiny) {
   const BehaviorProfile p = class_archetype(AppClass::kBackdoor);
   const PhaseParams& poll = p.phases.front();
-  const PhaseParams& benign =
-      class_archetype(AppClass::kBenign).phases.front();
+  const BehaviorProfile b = class_archetype(AppClass::kBenign);
+  const PhaseParams& benign = b.phases.front();
   EXPECT_GT(poll.branch_frac, benign.branch_frac);
   EXPECT_LT(poll.data_pages, benign.data_pages);
   EXPECT_GT(poll.branch_bias, 0.95);
